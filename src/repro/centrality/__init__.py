@@ -1,9 +1,8 @@
 """Betweenness centrality: exact, color-pivot approximate, and sampling.
 
 Exact Brandes (and the per-sample BFS of the Riondato–Kornaropoulos
-sampler) run on the CSR-native arc-store core (:mod:`repro.solvers`)
-by default; ``engine="python"`` selects the legacy per-source passes
-for cross-checking.
+sampler) run on the CSR-native arc-store core (:mod:`repro.solvers`),
+the one exact solver; networkx serves only as the test suite's oracle.
 """
 
 from repro.centrality.approx import ApproxCentralityResult, approx_betweenness

@@ -60,7 +60,6 @@ def pivot_betweenness(
     coloring: Coloring,
     seed: SeedLike = None,
     pivots_per_color: int = 1,
-    engine: str = "arcstore",
     backend=None,
     workers: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -68,10 +67,8 @@ def pivot_betweenness(
 
     Returns ``(scores, representatives)``.  Each color contributes
     ``|P_i| / pivots`` times the dependency vector of each of its
-    ``pivots`` sampled sources.  ``engine`` picks the Brandes
-    implementation the restricted passes run on (the arcstore core by
-    default); ``backend``/``workers`` reach the arcstore engine's
-    kernel dispatch and source-batched fan-out.
+    ``pivots`` sampled sources.  ``backend``/``workers`` reach the
+    Brandes core's kernel dispatch and source-batched fan-out.
     """
     rng = ensure_rng(seed)
     sources: list[int] = []
@@ -88,7 +85,6 @@ def pivot_betweenness(
         graph,
         sources=sources,
         source_weights=weights,
-        engine=engine,
         backend=backend,
         workers=workers,
     )
@@ -102,7 +98,6 @@ def approx_betweenness(
     split_mean: str = "geometric",
     seed: SeedLike = 0,
     pivots_per_color: int = 1,
-    engine: str = "arcstore",
     backend=None,
     workers: int | None = None,
 ) -> ApproxCentralityResult:
@@ -123,7 +118,6 @@ def approx_betweenness(
         seed=seed,
         pivots_per_color=pivots_per_color,
         split_mean=split_mean,
-        engine=engine,
         backend=backend,
         workers=workers,
     )

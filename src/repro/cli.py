@@ -40,18 +40,28 @@ def _apply_backend(args: argparse.Namespace) -> str | None:
 
     Returns the spec so commands can also pass it explicitly (the
     pipeline's coloring-cache key records the resolved name).  Unknown
-    names and unavailable optional backends exit with a clear message
-    instead of an ImportError mid-run.
+    names and unavailable optional backends — from ``--backend`` or
+    ``REPRO_BACKEND`` — exit with a clear message instead of an error
+    mid-run.
     """
-    spec = getattr(args, "backend", None)
-    if spec:
-        from repro.core.backends import set_default_backend
+    from repro.core.backends import resolve_backend, set_default_backend
 
-        try:
+    spec = getattr(args, "backend", None)
+    try:
+        if spec:
             set_default_backend(spec)
-        except (ImportError, ValueError) as exc:
-            raise SystemExit(f"--backend {spec}: {exc}") from exc
+        else:
+            resolve_backend(None)
+    except (ImportError, ValueError) as exc:
+        origin = f"--backend {spec}" if spec else "REPRO_BACKEND"
+        raise SystemExit(f"{origin}: {exc}") from exc
     return spec
+
+
+BACKEND_HELP = (
+    "kernel backend: auto, numba or numpy "
+    "(default: REPRO_BACKEND or auto-detect)"
+)
 
 TABLE_CHOICES = (
     "fig2", "fig2-dynamic", "fig7-maxflow", "fig7-lp", "fig7-centrality",
@@ -352,15 +362,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     backend = _apply_backend(args)
     scale = args.scale if args.scale is not None else _SOLVE_SCALES[args.task]
     task_options = {
-        "maxflow": {
-            "bound": args.bound,
-            "algorithm": args.algorithm,
-            "engine": args.engine,
-        },
-        # The LP path solves via scipy/IPM, not the exact graph
-        # solvers, so --engine does not apply to it.
+        "maxflow": {"bound": args.bound, "algorithm": args.algorithm},
         "lp": {"mode": args.mode},
-        "centrality": {"seed": args.seed, "engine": args.engine},
+        "centrality": {"seed": args.seed},
     }
     options = task_options[args.task]
     if args.mmap:
@@ -646,7 +650,7 @@ def build_parser() -> argparse.ArgumentParser:
     color.add_argument("--out", default=None,
                        help="write 'label color' lines to this file")
     color.add_argument("--backend", default=None,
-                       help="kernel backend: auto, numpy, numba, or torch[:device] (default: REPRO_BACKEND or auto-detect)")
+                       help=BACKEND_HELP)
     color.add_argument("--trace-out", default=None,
                        help="dump the recorded trace/metrics as JSONL")
     color.set_defaults(func=_cmd_color)
@@ -675,7 +679,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--trace", default=None,
                          help="update trace file ('+/-/~ u v [w]' lines)")
         cmd.add_argument("--backend", default=None,
-                         help="kernel backend: auto, numpy, numba, or torch[:device] (default: REPRO_BACKEND or auto-detect)")
+                         help=BACKEND_HELP)
         cmd.add_argument("--trace-out", default=None,
                          help="dump the recorded trace/metrics as JSONL")
         if name == "update":
@@ -729,17 +733,12 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=("push_relabel", "dinic", "edmonds_karp"),
                        default="push_relabel",
                        help="maxflow: reduced-network solver")
-    solve.add_argument("--engine", choices=("arcstore", "python"),
-                       default="arcstore",
-                       help="maxflow/centrality: exact-solver core "
-                            "(flat arc-store arrays vs legacy Python; "
-                            "both produce identical results)")
     solve.add_argument("--mode", choices=("sqrt", "grohe"), default="sqrt",
                        help="lp: reduction weight mode")
     solve.add_argument("--seed", type=int, default=0,
                        help="centrality: pivot sampling seed")
     solve.add_argument("--backend", default=None,
-                       help="kernel backend: auto, numpy, numba, or torch[:device] (default: REPRO_BACKEND or auto-detect)")
+                       help=BACKEND_HELP)
     solve.add_argument("--workers", type=int, default=None,
                        help="worker fan-out for parallel coloring rounds "
                             "and source-batched Brandes "
@@ -757,7 +756,7 @@ def build_parser() -> argparse.ArgumentParser:
              "per-span summary",
     )
     profile.add_argument("--backend", default=None,
-                         help="kernel backend: auto, numpy, numba, or torch[:device] (default: REPRO_BACKEND or auto-detect) (applies to the wrapped command)")
+                         help=BACKEND_HELP + " (applies to the wrapped command)")
     profile.add_argument("--trace-out", default=None,
                          help="dump the recorded trace/metrics as JSONL "
                               "(also honored on the wrapped command)")

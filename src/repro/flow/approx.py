@@ -191,16 +191,13 @@ def approx_max_flow(
     bound: str = "upper",
     algorithm: str = "push_relabel",
     split_mean: str = "arithmetic",
-    engine: str = "arcstore",
 ) -> ApproxFlowResult:
     """Approximate ``maxFlow(G)`` on the reduced graph (the paper's method).
 
     End-to-end: color (s/t pinned) -> reduce -> solve, driven through
     the shared :mod:`repro.pipeline` runner.  With ``bound="upper"`` the
     result over-estimates the true flow; Theorem 6 guarantees
-    ``maxFlow(G_hat_1) <= maxFlow(G) <= maxFlow(G_hat_2)``.  ``engine``
-    selects the exact solver core used on the reduced network (the flat
-    arc-store engine by default).
+    ``maxFlow(G_hat_1) <= maxFlow(G) <= maxFlow(G_hat_2)``.
     """
     if n_colors is None and q is None:
         raise ValueError("approx_max_flow needs n_colors and/or q")
@@ -211,7 +208,6 @@ def approx_max_flow(
         bound=bound,
         algorithm=algorithm,
         split_mean=split_mean,
-        engine=engine,
     )
     result = run_task(task, n_colors=n_colors, q=q)
     return ApproxFlowResult(

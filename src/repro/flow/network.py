@@ -6,24 +6,20 @@ sink (as in Theorem 6); capacities are the positive arc weights of a
 unchanged: their adjacency already stores both arc directions, each with
 the full capacity, the standard reduction.
 
-Solving is delegated to one of two engines (``max_flow(...,
-engine=...)``):
-
-* ``"arcstore"`` (default) — the CSR-native solver core of
-  :mod:`repro.solvers`: one flat :class:`~repro.solvers.arcstore.
-  ArcStore` per graph, vectorized BFS, and flat-array residual updates;
-* ``"python"`` — the original pure-Python solvers over the paired-edge
-  :class:`ResidualGraph`, kept as the cross-checking reference.
+Solving is delegated to the CSR-native solver core of
+:mod:`repro.solvers`: one flat :class:`~repro.solvers.arcstore.ArcStore`
+per graph, vectorized BFS, and flat-array residual updates.
 
 ``FlowResult`` carries the flow value and the per-arc assignment so
 callers can validate capacity and conservation (done in
 :func:`validate_flow` — O(m) numpy reductions — used heavily by the
-test suite).  The arcstore engine produces flows as flat arrays; the
+test suite).  The solvers produce flows as flat arrays; the
 ``arc_flow`` dict view is materialized lazily for compatibility.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Hashable, Tuple
 
@@ -54,8 +50,11 @@ class FlowNetwork:
         if self.source == self.sink:
             raise FlowError("source and sink must differ")
         for _, _, weight in self.graph.edges():
-            if weight < 0:
-                raise FlowError(f"negative capacity {weight}")
+            # Written so NaN fails too: every comparison with NaN is False.
+            if not 0.0 <= weight < math.inf:
+                raise FlowError(
+                    f"capacity {weight} is not finite and non-negative"
+                )
 
     @property
     def source_index(self) -> int:
@@ -73,10 +72,10 @@ class FlowNetwork:
 class FlowResult:
     """A max-flow answer: the value plus per-arc flows (by node index).
 
-    The per-arc assignment is stored either as a dict (the legacy
-    engine, hand-built fixtures) or as flat ``(tails, heads, flows)``
-    arrays (the arcstore engine); each view is materialized lazily from
-    the other on first access, so both engines expose the same surface.
+    The per-arc assignment is stored either as a dict (:func:`~repro.
+    flow.approx.lift_flow`, hand-built fixtures) or as flat ``(tails,
+    heads, flows)`` arrays (the solvers); each view is materialized
+    lazily from the other on first access.
     """
 
     __slots__ = ("value", "_arc_flow", "_arc_arrays")
@@ -230,21 +229,29 @@ def validate_flow(
         )
 
 
-def _arcstore_max_flow(
-    network: FlowNetwork, algorithm: str, backend=None
+def max_flow(
+    network: FlowNetwork,
+    algorithm: str = "push_relabel",
+    backend=None,
 ) -> FlowResult:
-    from repro.solvers import (
-        arc_store_for,
-        dinic,
-        edmonds_karp,
-        push_relabel,
-    )
+    """Dispatch to one of the max-flow solvers.
+
+    ``algorithm`` is one of ``push_relabel`` (the paper's exact
+    baseline), ``dinic`` or ``edmonds_karp``.  ``backend`` reaches the
+    solver-kernel dispatch (explicit wins, else the process default).
+    """
+    from repro.solvers import arc_store_for, dinic, edmonds_karp, push_relabel
 
     solvers = {
         "push_relabel": push_relabel,
         "dinic": dinic,
         "edmonds_karp": edmonds_karp,
     }
+    if algorithm not in solvers:
+        raise ValueError(
+            f"algorithm must be one of {sorted(solvers)}, "
+            f"got {algorithm!r}"
+        )
     store = arc_store_for(network.graph)
     value, cap = solvers[algorithm](
         store, network.source_index, network.sink_index, backend=backend
@@ -252,93 +259,3 @@ def _arcstore_max_flow(
     return FlowResult(
         value=value, arc_arrays=store.extract_flow_arrays(cap)
     )
-
-
-def max_flow(
-    network: FlowNetwork,
-    algorithm: str = "push_relabel",
-    engine: str = "arcstore",
-    backend=None,
-) -> FlowResult:
-    """Dispatch to one of the max-flow solvers.
-
-    ``algorithm`` is one of ``push_relabel`` (the paper's exact
-    baseline), ``dinic`` or ``edmonds_karp``; ``engine`` selects the
-    arc-store implementation (default) or the legacy pure-Python one.
-    ``backend`` reaches the arcstore engine's solver-kernel dispatch
-    (explicit wins, else the process default); the legacy engine
-    ignores it.
-    """
-    from repro.solvers import check_engine
-
-    algorithms = ("push_relabel", "dinic", "edmonds_karp")
-    if algorithm not in algorithms:
-        raise ValueError(
-            f"algorithm must be one of {sorted(algorithms)}, "
-            f"got {algorithm!r}"
-        )
-    if check_engine(engine) == "arcstore":
-        return _arcstore_max_flow(network, algorithm, backend=backend)
-
-    from repro.flow.dinic import dinic_max_flow
-    from repro.flow.edmonds_karp import edmonds_karp_max_flow
-    from repro.flow.push_relabel import push_relabel_max_flow
-
-    solvers = {
-        "push_relabel": push_relabel_max_flow,
-        "dinic": dinic_max_flow,
-        "edmonds_karp": edmonds_karp_max_flow,
-    }
-    return solvers[algorithm](network)
-
-
-class ResidualGraph:
-    """Paired-edge residual representation of the legacy ``python``
-    engine (the arcstore engine keeps the same pairing in flat arrays —
-    see :class:`repro.solvers.arcstore.ArcStore`).
-
-    Arc ``e`` and its reverse ``e ^ 1`` are adjacent in the edge arrays,
-    so the reverse of any arc is a single XOR away — the classic trick.
-    """
-
-    __slots__ = ("n", "to", "cap", "adj", "_original_cap", "_forward")
-
-    def __init__(self, n: int) -> None:
-        self.n = n
-        self.to: list[int] = []
-        self.cap: list[float] = []
-        self.adj: list[list[int]] = [[] for _ in range(n)]
-        self._original_cap: list[float] = []
-        self._forward: list[bool] = []
-
-    def add_arc(self, u: int, v: int, capacity: float) -> int:
-        """Add a forward arc and its zero-capacity residual twin."""
-        arc_id = len(self.to)
-        self.to.extend((v, u))
-        self.cap.extend((capacity, 0.0))
-        self._original_cap.extend((capacity, 0.0))
-        self._forward.extend((True, False))
-        self.adj[u].append(arc_id)
-        self.adj[v].append(arc_id + 1)
-        return arc_id
-
-    @classmethod
-    def from_network(cls, network: FlowNetwork) -> "ResidualGraph":
-        graph = network.graph
-        residual = cls(graph.n_nodes)
-        for ui in range(graph.n_nodes):
-            for vi, capacity in graph.out_items(ui).items():
-                if capacity > 0:
-                    residual.add_arc(ui, vi, capacity)
-        return residual
-
-    def extract_flow(self) -> ArcFlow:
-        """Per-arc flows of the forward arcs (flow = original - residual)."""
-        flow: ArcFlow = {}
-        for arc_id in range(0, len(self.to), 2):
-            pushed = self._original_cap[arc_id] - self.cap[arc_id]
-            if pushed > 0:
-                u = self.to[arc_id + 1]
-                v = self.to[arc_id]
-                flow[(u, v)] = flow.get((u, v), 0.0) + pushed
-        return flow

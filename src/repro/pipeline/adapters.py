@@ -44,10 +44,7 @@ class MaxFlowTask(CompressionTask):
     weights the progressive runner maintains); ``bound="lower"``
     uses the uniform-flow capacities ``c_hat_1``.  With
     ``lift_solution=True`` (lower bound only) the reduced flow is
-    lifted to a valid flow on the original network.  ``engine`` picks
-    the exact solver core the reduced network is solved with (the flat
-    arc-store engine by default, the legacy Python solvers with
-    ``"python"`` — the CLI's ``repro solve --engine`` cross-check).
+    lifted to a valid flow on the original network.
     """
 
     name = "maxflow"
@@ -59,7 +56,6 @@ class MaxFlowTask(CompressionTask):
         algorithm: str = "push_relabel",
         split_mean: str = "arithmetic",
         lift_solution: bool = False,
-        engine: str = "arcstore",
         backend: str | None = None,
         workers: int | None = None,
     ) -> None:
@@ -68,7 +64,6 @@ class MaxFlowTask(CompressionTask):
         self.algorithm = algorithm
         self.split_mean = split_mean
         self.lift_solution = lift_solution
-        self.engine = engine
         self.backend = backend
         self.workers = workers
         self._spec: ColoringSpec | None = None
@@ -96,7 +91,6 @@ class MaxFlowTask(CompressionTask):
             self.name,
             self.bound,
             self.algorithm,
-            self.engine,
             self.lift_solution,
         )
 
@@ -116,7 +110,6 @@ class MaxFlowTask(CompressionTask):
         return max_flow(
             reduced,
             algorithm=self.algorithm,
-            engine=self.engine,
             backend=self.backend,
         )
 
@@ -137,7 +130,6 @@ class MaxFlowTask(CompressionTask):
         return max_flow(
             self.problem,
             algorithm=self.algorithm,
-            engine=self.engine,
             backend=self.backend,
         ).value
 
@@ -242,8 +234,7 @@ class CentralityTask(CompressionTask):
     and the scores already live in node space, so lifting selects them.
     Each solve draws representatives from a fresh ``seed``-keyed
     generator, so results at a given checkpoint are reproducible and
-    independent of sweep order.  ``engine`` picks the Brandes core the
-    restricted passes run on (arcstore by default).
+    independent of sweep order.
     """
 
     name = "centrality"
@@ -255,7 +246,6 @@ class CentralityTask(CompressionTask):
         seed: SeedLike = 0,
         pivots_per_color: int = 1,
         split_mean: str = "geometric",
-        engine: str = "arcstore",
         backend: str | None = None,
         workers: int | None = None,
     ) -> None:
@@ -263,7 +253,6 @@ class CentralityTask(CompressionTask):
         self.seed = seed
         self.pivots_per_color = pivots_per_color
         self.split_mean = split_mean
-        self.engine = engine
         self.backend = backend
         self.workers = workers
         self._spec: ColoringSpec | None = None
@@ -288,7 +277,7 @@ class CentralityTask(CompressionTask):
         # different pivots each call, so those tasks stay uncacheable.
         if not isinstance(self.seed, (int, np.integer)):
             return None
-        return (self.name, int(self.seed), self.pivots_per_color, self.engine)
+        return (self.name, int(self.seed), self.pivots_per_color)
 
     def reduce(
         self,
@@ -306,7 +295,6 @@ class CentralityTask(CompressionTask):
             reduced,
             seed=self.seed,
             pivots_per_color=self.pivots_per_color,
-            engine=self.engine,
             backend=self.backend,
             workers=self.workers,
         )
@@ -324,7 +312,6 @@ class CentralityTask(CompressionTask):
         """Exact (unnormalized) betweenness scores, all sources."""
         return betweenness_centrality(
             self.problem,
-            engine=self.engine,
             backend=self.backend,
             workers=self.workers,
         )

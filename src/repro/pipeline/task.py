@@ -65,11 +65,10 @@ class ColoringSpec:
     initial: Coloring | None = None
     frozen: tuple[int, ...] = ()
     error_mode: str = "absolute"
-    #: kernel backend spec ("numpy", "numba", "torch[:device]", "auto",
-    #: or None = REPRO_BACKEND / auto).  Backends are bit-identical on
-    #: CPU, but the cache key still carries the *resolved* name + device
-    #: so colorings computed by different backends never alias — a CUDA
-    #: torch run (last-ulp atomics) must not serve a numpy request.
+    #: kernel backend spec ("numpy", "numba", "auto", or None =
+    #: REPRO_BACKEND / auto).  Backends are bit-identical, but the cache
+    #: key still carries the *resolved* name so colorings computed by
+    #: different backends never alias.
     backend: str | None = None
     #: worker fan-out for the engine's batched rounds (None = the
     #: ``REPRO_WORKERS`` environment default).  Deliberately *not* part
@@ -91,13 +90,12 @@ class ColoringSpec:
             workers=self.workers,
         )
 
-    def resolved_backend(self) -> tuple[str, str]:
-        """The ``(name, device)`` this spec's engine will actually run on
+    def resolved_backend(self) -> str:
+        """The backend name this spec's engine will actually run on
         (``None``/``"auto"`` specs consult the environment here)."""
         from repro.core.backends import resolve_backend
 
-        resolved = resolve_backend(self.backend)
-        return resolved.name, resolved.device
+        return resolve_backend(self.backend).name
 
     def cache_key(self) -> tuple:
         """Hashable fingerprint identifying the split sequence.

@@ -21,8 +21,7 @@ solvers share:
 * :func:`bfs_parents` — the same BFS recording discovery arcs (the
   augmenting-path search of Edmonds–Karp);
 * :meth:`ArcStore.residual` — a fresh residual capacity vector, the one
-  place residual state is created (retiring the per-solver
-  ``ResidualGraph`` construction);
+  place residual state is created;
 * :meth:`ArcStore.extract_flow_arrays` — per-arc flows of the forward
   arcs as ``(tails, heads, flows)`` arrays, ``flow = cap0 - cap``.
 
@@ -67,15 +66,6 @@ def resolve_solver_backend(backend: "str | Backend | None") -> Backend:
     if backend is None:
         return default_backend()
     return resolve_backend(backend)
-
-#: the two exact-solver implementations every dispatching entry point accepts
-ENGINES = ("arcstore", "python")
-
-
-def check_engine(engine: str) -> str:
-    if engine not in ENGINES:
-        raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
-    return engine
 
 
 def unique_int(values: np.ndarray) -> np.ndarray:
@@ -129,8 +119,7 @@ class ArcStore:
         self.cap0 = cap0
         # Arc ids grouped by tail: stable argsort keeps, within each
         # node, the original arc order (forward arcs before the reverse
-        # twins of later arcs), matching iteration order of the legacy
-        # adjacency lists.
+        # twins of later arcs).
         self.arcs = np.argsort(tail, kind="stable")
         counts = np.bincount(tail, minlength=n)
         self.indptr = np.zeros(n + 1, dtype=np.int64)

@@ -4,11 +4,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from repro.centrality.brandes import (
-    betweenness_centrality,
-    single_source_dependencies,
-    _adjacency_lists,
-)
+from repro.centrality.brandes import betweenness_centrality
 from repro.graphs.digraph import WeightedDiGraph
 from repro.graphs.generators import (
     barabasi_albert,
@@ -17,6 +13,7 @@ from repro.graphs.generators import (
     path_graph,
     star_graph,
 )
+from repro.solvers import single_source_dependencies_csr
 
 
 def nx_scores(graph: WeightedDiGraph, normalized=False) -> np.ndarray:
@@ -104,10 +101,12 @@ class TestSourceRestriction:
 class TestDependencies:
     def test_sum_over_sources_is_centrality(self):
         graph = barabasi_albert(30, 2, seed=3)
-        adjacency = _adjacency_lists(graph)
+        matrix = graph.to_csr()
         total = np.zeros(30)
         for source in range(30):
-            total += single_source_dependencies(adjacency, source, 30)
+            total += single_source_dependencies_csr(
+                matrix.indptr, matrix.indices, source, 30
+            )
         assert np.allclose(total / 2.0, betweenness_centrality(graph))
 
 
@@ -138,10 +137,14 @@ class TestWeightedBetweenness:
         )
 
     def test_nonpositive_weight_rejected(self):
-        graph = WeightedDiGraph(directed=True)
-        graph.add_edge(0, 1, -1.0)
-        with pytest.raises(ValueError):
-            betweenness_centrality(graph, weighted=True)
+        # NaN compares False against any bound, so it must not slip past
+        # the guard and come back as all-zero scores.
+        for weight in (-1.0, float("nan"), float("inf")):
+            graph = WeightedDiGraph(directed=True)
+            graph.add_edge(0, 1, 1.0)
+            graph.add_edge(1, 2, weight)
+            with pytest.raises(ValueError, match="positive finite"):
+                betweenness_centrality(graph, weighted=True)
 
     def test_weights_change_routing(self):
         # Square with one heavy edge: paths avoid it, shifting centrality.

@@ -2,8 +2,8 @@
 
 The parity sweep is the contract that makes ``--backend`` safe to flip:
 every registered backend must produce **bit-identical** results to the
-numpy reference, kernel by kernel and coloring by coloring.  Optional
-backends (numba, torch) skip cleanly where the package is absent — the
+numpy reference, kernel by kernel and coloring by coloring.  The
+optional numba backend skips cleanly where the package is absent — the
 dependency-free CI matrix runs only the numpy/resolution/determinism
 parts, the py3.12+numba job runs the full sweep.
 """
@@ -24,7 +24,7 @@ from repro.core.backends import (
     resolve_workers,
     set_default_backend,
 )
-from repro.core.backends import numba_backend, torch_backend
+from repro.core.backends import numba_backend
 from repro.core.backends.numpy_backend import NumpyBackend
 from repro.core.partition import Coloring
 from repro.core.rothko import Rothko, q_color
@@ -32,19 +32,15 @@ from repro.core.rothko import Rothko, q_color
 REFERENCE = NumpyBackend()
 
 
+#: the optional backends the parity sweep covers
+OPTIONAL_BACKENDS = ("numba",)
+
+
 def optional_backend(name):
     """Instantiate an optional backend or skip the test."""
-    module = {"numba": numba_backend, "torch": torch_backend}[name]
-    if not module.available():
+    if not numba_backend.available():
         pytest.skip(f"{name} not installed")
     return resolve_backend(name)
-
-
-def backend_params():
-    return [
-        pytest.param("numba"),
-        pytest.param("torch"),
-    ]
 
 
 def _random_csr(n, density, seed, negative=False):
@@ -84,8 +80,17 @@ class TestResolution:
         assert resolve_backend("numpy") is resolve_backend("numpy")
 
     def test_unknown_name(self):
+        # Any ``name:suffix`` is unknown too: no backend takes a device.
+        for spec in ("fortran", "numpy:cuda", "numba:cpu", "auto:gpu"):
+            with pytest.raises(
+                ValueError, match="unknown backend.*auto, numba, numpy"
+            ):
+                resolve_backend(spec)
+
+    def test_env_variable_is_strict(self, monkeypatch):
+        monkeypatch.setenv("REPRO_BACKEND", "numpy:cuda")
         with pytest.raises(ValueError, match="unknown backend"):
-            resolve_backend("fortran")
+            resolve_backend(None)
 
     def test_env_variable(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "numpy")
@@ -93,22 +98,18 @@ class TestResolution:
 
     def test_auto_resolves(self):
         resolved = resolve_backend("auto")
-        assert resolved.name in ("numpy", "numba", "torch")
+        assert resolved.name in ("numpy", "numba")
 
     def test_missing_optional_backend_errors_clearly(self):
-        for name, module in (
-            ("numba", numba_backend), ("torch", torch_backend)
-        ):
-            if module.available():
-                continue
-            with pytest.raises(ImportError, match=name):
-                resolve_backend(name)
+        if not numba_backend.available():
+            with pytest.raises(ImportError, match="numba"):
+                resolve_backend("numba")
 
     def test_set_default_backend(self):
         assert set_default_backend("numpy").name == "numpy"
         assert default_backend().name == "numpy"
         set_default_backend(None)  # back to lazy env/auto resolution
-        assert default_backend().name in ("numpy", "numba", "torch")
+        assert default_backend().name in ("numpy", "numba")
 
     def test_protocol_surface(self):
         for name in KERNEL_NAMES:
@@ -127,7 +128,7 @@ class TestResolution:
 # ----------------------------------------------------------------------
 # kernel-level parity (bit-identical to the numpy reference)
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("name", backend_params())
+@pytest.mark.parametrize("name", OPTIONAL_BACKENDS)
 class TestKernelParity:
     def _fixture(self, seed, n=60, k=7, negative=False):
         matrix = _random_csr(n, 0.15, seed, negative=negative)
@@ -289,7 +290,7 @@ class TestKernelParity:
 # ----------------------------------------------------------------------
 # coloring-level parity: identical splits and q-error trajectories
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("name", backend_params())
+@pytest.mark.parametrize("name", OPTIONAL_BACKENDS)
 class TestColoringParity:
     CASES = {
         "directed": dict(),
@@ -438,7 +439,7 @@ class TestSpecBackendKey:
 
         matrix = _random_csr(40, 0.2, 2)
         numpy_spec = ColoringSpec(matrix, backend="numpy")
-        assert numpy_spec.cache_key()[-1] == ("numpy", "cpu")
+        assert numpy_spec.cache_key()[-1] == "numpy"
         for name in available_backends():
             if name == "numpy":
                 continue

@@ -1,4 +1,4 @@
-"""Tests for repro.flow.network (validation, residual graph)."""
+"""Tests for repro.flow.network (network and flow validation)."""
 
 import pytest
 
@@ -6,7 +6,6 @@ from repro.exceptions import FlowError
 from repro.flow.network import (
     FlowNetwork,
     FlowResult,
-    ResidualGraph,
     validate_flow,
 )
 from repro.graphs.digraph import WeightedDiGraph
@@ -45,6 +44,24 @@ class TestFlowNetwork:
         graph.add_edge(0, 1, -2.0)
         with pytest.raises(FlowError):
             FlowNetwork(graph, 0, 1)
+
+    def test_nan_capacity(self):
+        # NaN passes a plain ``< 0`` check; a NaN arc on the only path
+        # used to give a silent max-flow and min-cut of 0.0.
+        graph = WeightedDiGraph(directed=True)
+        graph.add_edge(0, 1, float("nan"))
+        graph.add_edge(1, 2, 1.0)
+        with pytest.raises(FlowError, match="finite"):
+            FlowNetwork(graph, 0, 2)
+
+    def test_infinite_capacity(self):
+        # An all-inf path used to solve to inf (inf - inf in the flow
+        # extraction along the way).
+        graph = WeightedDiGraph(directed=True)
+        graph.add_edge(0, 1, float("inf"))
+        graph.add_edge(1, 2, float("inf"))
+        with pytest.raises(FlowError, match="finite"):
+            FlowNetwork(graph, 0, 2)
 
 
 class TestValidateFlow:
@@ -88,24 +105,3 @@ class TestValidateFlow:
         flow = {(0, 1): -1.0, (1, 3): -1.0}
         with pytest.raises(FlowError, match="negative flow"):
             validate_flow(diamond, FlowResult(value=-1.0, arc_flow=flow))
-
-
-class TestResidualGraph:
-    def test_paired_arcs(self):
-        residual = ResidualGraph(3)
-        arc = residual.add_arc(0, 1, 5.0)
-        assert residual.to[arc] == 1
-        assert residual.to[arc ^ 1] == 0
-        assert residual.cap[arc] == 5.0
-        assert residual.cap[arc ^ 1] == 0.0
-
-    def test_extract_flow_empty(self, diamond):
-        residual = ResidualGraph.from_network(diamond)
-        assert residual.extract_flow() == {}
-
-    def test_extract_flow_after_push(self, diamond):
-        residual = ResidualGraph.from_network(diamond)
-        residual.cap[0] -= 1.0  # push 1 unit on the first arc
-        residual.cap[1] += 1.0
-        flow = residual.extract_flow()
-        assert sum(flow.values()) == 1.0

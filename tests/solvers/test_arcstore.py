@@ -10,7 +10,6 @@ from repro.solvers import (
     arc_store_for,
     bfs_levels,
     bfs_parents,
-    check_engine,
 )
 from repro.solvers.arcstore import unique_int
 
@@ -141,12 +140,6 @@ class TestHelpers:
     def test_unique_int_empty_and_single(self):
         assert unique_int(np.empty(0, dtype=np.int64)).size == 0
         assert unique_int(np.array([7], dtype=np.int64)).tolist() == [7]
-
-    def test_check_engine_rejects_unknown(self):
-        with pytest.raises(ValueError, match="engine"):
-            check_engine("fortran")
-        assert check_engine("python") == "python"
-        assert check_engine("arcstore") == "arcstore"
 
 
 class TestFlowNetworkIntegration:

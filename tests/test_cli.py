@@ -114,26 +114,16 @@ class TestSolveCommand:
         # stop there instead of refining to 40 colors.
         assert rows[0][0] == rows[1][0]
 
-    def test_engines_agree_on_small_instance(self, capsys):
-        """--engine arcstore and --engine python print identical value
-        columns for the same maxflow schedule."""
-        def value_rows(engine):
-            assert main(
-                ["solve", "--task", "maxflow", "--dataset", "tsukuba0",
-                 "--scale", "0.002", "--colors", "4,8", "--engine", engine]
-            ) == 0
-            out = capsys.readouterr().out
-            rows = [line.split() for line in out.splitlines()
-                    if line and line[0].isdigit()]
-            # columns: colors, max_q, value, ...
-            return [(row[0], row[2]) for row in rows]
-
-        assert value_rows("arcstore") == value_rows("python")
-
-    def test_bad_engine_rejected(self):
-        with pytest.raises(SystemExit):
+    def test_bad_backend_spec_rejected(self):
+        with pytest.raises(SystemExit, match="auto, numba, numpy"):
             main(["solve", "--task", "maxflow", "--dataset", "tsukuba0",
-                  "--colors", "4", "--engine", "magic"])
+                  "--colors", "4", "--backend", "numpy:cuda"])
+
+    def test_bad_env_backend_rejected(self, monkeypatch):
+        monkeypatch.setenv("REPRO_BACKEND", "numpy:cuda")
+        with pytest.raises(SystemExit, match="REPRO_BACKEND"):
+            main(["solve", "--task", "maxflow", "--dataset", "tsukuba0",
+                  "--colors", "4"])
 
     def test_requires_stopping_rule(self):
         with pytest.raises(SystemExit):
