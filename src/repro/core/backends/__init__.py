@@ -12,11 +12,14 @@ which implementation runs them:
   importable.
 
 Resolution happens **once per run**: explicit argument
-(``Rothko(backend=...)``, ``--backend`` on the CLI) beats the
+(``Rothko(backend=...)``) beats the process default installed by
+:func:`set_default_backend` (``--backend`` on the CLI) beats the
 ``REPRO_BACKEND`` environment variable beats auto-detection
-(numba if importable, else numpy).  Any other spec is a
-:class:`ValueError`.  The optional numba backend degrades silently
-under ``auto`` when it fails to import and raises a clear
+(numba if importable, else numpy).  ``resolve_backend(None)`` *is* the
+process default, so every caller that was not handed a backend lands
+on the same instance.  Any other spec is a :class:`ValueError`.  The
+optional numba backend degrades silently under ``auto`` when it fails
+to import and raises a clear
 :class:`ImportError` when named explicitly.  If it imports but fails at
 *runtime* it degrades too: numba instances are wrapped in
 :class:`~repro.resilience.fallback.ResilientBackend`, so a kernel that
@@ -41,7 +44,6 @@ from repro.core.backends.base import Backend, KERNEL_NAMES, SOLVER_KERNEL_NAMES
 from repro.core.backends.executor import RoundExecutor, resolve_workers
 from repro.core.backends.numpy_backend import NumpyBackend
 from repro.core.backends import numba_backend as _numba
-from repro.resilience.fallback import ResilientBackend
 
 __all__ = [
     "Backend",
@@ -49,7 +51,6 @@ __all__ = [
     "SOLVER_KERNEL_NAMES",
     "RoundExecutor",
     "available_backends",
-    "default_backend",
     "resolve_backend",
     "resolve_workers",
     "set_default_backend",
@@ -61,7 +62,7 @@ BACKEND_SPECS = ("auto", "numba", "numpy")
 #: resolved instances, keyed by name
 _INSTANCES: dict[str, Backend] = {}
 
-#: the process-default backend (what the kernels-module wrappers use)
+#: the process-default backend (what ``resolve_backend(None)`` returns)
 _DEFAULT: Backend | None = None
 
 
@@ -79,6 +80,9 @@ def _instantiate(name: str) -> Backend:
         if name == "numpy":
             backend = NumpyBackend()
         else:
+            # Deferred: repro.resilience imports this package's base.
+            from repro.resilience.fallback import ResilientBackend
+
             backend = ResilientBackend(_numba.NumbaBackend())
         _INSTANCES[name] = backend
     return backend
@@ -89,11 +93,16 @@ def resolve_backend(spec: "str | Backend | None" = None) -> Backend:
 
     ``spec`` may be an instance (returned as-is), one of
     :data:`BACKEND_SPECS` (``"auto"``, ``"numba"``, ``"numpy"``), or
-    ``None`` — which consults ``REPRO_BACKEND`` and falls back to
-    auto-detection.  Any other string raises :class:`ValueError`.
+    ``None`` — the process default: whatever :func:`set_default_backend`
+    installed, else ``REPRO_BACKEND``, else auto-detection, resolved
+    lazily once and cached.  Any other string raises :class:`ValueError`.
     """
+    global _DEFAULT
     if spec is None:
-        spec = os.environ.get("REPRO_BACKEND", "").strip() or "auto"
+        if _DEFAULT is None:
+            env = os.environ.get("REPRO_BACKEND", "").strip()
+            _DEFAULT = resolve_backend(env or "auto")
+        return _DEFAULT
     if not isinstance(spec, str):
         return spec
     if spec not in BACKEND_SPECS:
@@ -106,18 +115,11 @@ def resolve_backend(spec: "str | Backend | None" = None) -> Backend:
     return _instantiate(spec)
 
 
-def default_backend() -> Backend:
-    """The process-default backend (resolved lazily, once)."""
-    global _DEFAULT
-    if _DEFAULT is None:
-        _DEFAULT = resolve_backend()
-    return _DEFAULT
-
-
-def set_default_backend(spec: "str | Backend | None") -> Backend:
-    """Replace the process default (``None`` re-enables lazy env/auto
-    resolution); returns the newly active backend.  The CLI's
-    ``--backend`` flag and tests are the intended callers."""
+def set_default_backend(spec: "str | Backend | None") -> Backend | None:
+    """Install the process default and return it; ``None`` drops it, so
+    the next ``resolve_backend(None)`` re-reads ``REPRO_BACKEND`` (or
+    auto-detects).  The CLI's ``--backend`` flag and tests are the
+    intended callers."""
     global _DEFAULT
     _DEFAULT = None if spec is None else resolve_backend(spec)
-    return default_backend()
+    return _DEFAULT

@@ -26,14 +26,11 @@ __all__ = ["Backend", "KERNEL_NAMES", "SOLVER_KERNEL_NAMES"]
 #: every method a Backend must provide (the parity sweep iterates this)
 KERNEL_NAMES = (
     "scatter_add",
-    "bincount",
     "take_ranges",
     "scatter_select_sums",
     "scatter_select_color_sums",
-    "color_degree_slice",
     "color_degree_slice_pair",
     "select_degrees_toward",
-    "grouped_minmax_by_labels",
     "grouped_minmax_ordered",
 )
 
@@ -64,13 +61,9 @@ class Backend(Protocol):
     def scatter_add(
         self, indices: np.ndarray, weights: np.ndarray, size: int
     ) -> np.ndarray:
-        """Dense ``out[i] = sum of weights where indices == i``."""
-
-    def bincount(
-        self, keys: np.ndarray, weights: np.ndarray, minlength: int
-    ) -> np.ndarray:
-        """Weighted bincount over precomputed flat keys (the fused
-        scatter primitive the engine's split refresh builds on)."""
+        """Dense ``out[i] = sum of weights where indices == i`` (also
+        the fused scatter over precomputed flat keys that the engine's
+        split refresh builds on)."""
 
     def take_ranges(
         self, starts: np.ndarray, counts: np.ndarray
@@ -98,17 +91,6 @@ class Backend(Protocol):
     ) -> np.ndarray:
         """Total weight of the selected rows per *color* (one W row)."""
 
-    def color_degree_slice(
-        self,
-        indptr: np.ndarray,
-        indices: np.ndarray,
-        data: np.ndarray,
-        rows: np.ndarray,
-        labels: np.ndarray,
-        n_colors: int,
-    ) -> np.ndarray:
-        """Dense ``k x |rows|`` degree slice of the selected rows."""
-
     def color_degree_slice_pair(
         self,
         csr_arrays: tuple[np.ndarray, np.ndarray, np.ndarray],
@@ -129,11 +111,6 @@ class Backend(Protocol):
         targets: int | np.ndarray,
     ) -> np.ndarray:
         """Per selected row, total weight toward a target color."""
-
-    def grouped_minmax_by_labels(
-        self, values: np.ndarray, labels: np.ndarray, k: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Per-label max/min of a row-per-node array (1-D or 2-D)."""
 
     def grouped_minmax_ordered(
         self, values: np.ndarray, order: np.ndarray, starts: np.ndarray

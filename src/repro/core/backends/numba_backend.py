@@ -86,16 +86,6 @@ if available():  # pragma: no cover - exercised only where numba is installed
         return out
 
     @njit(cache=True, parallel=True)
-    def _color_degree_slice(indptr, indices, data, rows, labels, k):
-        r = rows.shape[0]
-        out = np.zeros((k, r), dtype=np.float64)
-        for t in prange(r):  # each iteration owns column t: race-free
-            node = rows[t]
-            for p in range(indptr[node], indptr[node + 1]):
-                out[labels[indices[p]], t] += data[p]
-        return out
-
-    @njit(cache=True, parallel=True)
     def _color_degree_slice_pair(
         out_indptr, out_indices, out_data,
         in_indptr, in_indices, in_data,
@@ -197,15 +187,6 @@ class NumbaBackend(NumpyBackend):
             size,
         )
 
-    def bincount(self, keys, weights, minlength):
-        if keys.size == 0:
-            return np.zeros(minlength, dtype=np.float64)
-        return _scatter_add(
-            _contig(keys),
-            _contig(weights),
-            minlength,
-        )
-
     def take_ranges(self, starts, counts):
         return _take_ranges(
             _contig(starts),
@@ -234,19 +215,6 @@ class NumbaBackend(NumpyBackend):
         )
 
     # -- slice-shaped kernels: prange over row-owned output cells --
-    def color_degree_slice(self, indptr, indices, data, rows, labels, n_colors):
-        rows = np.asarray(rows, dtype=np.int64)
-        if rows.size == 0 or n_colors == 0:
-            return np.zeros((n_colors, rows.size), dtype=np.float64)
-        return _color_degree_slice(
-            _contig(indptr),
-            _contig(indices),
-            _contig(data),
-            _contig(rows),
-            _contig(labels),
-            n_colors,
-        )
-
     def color_degree_slice_pair(
         self, csr_arrays, csc_arrays, rows, labels, n_colors
     ):

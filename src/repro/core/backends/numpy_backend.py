@@ -1,12 +1,10 @@
 """The numpy reference backend — the semantics every backend must match.
 
-These are the flat-array kernels the engines were originally written
-against (moved here from :mod:`repro.core.kernels`, which now fronts
-the active backend): each is one or two ``np.bincount`` / ``reduceat``
-passes over CSR/CSC index arrays, no Python-level loops.  They are
-**pure** — no observability calls — so the dispatch layer and the
-engine's chunk loops can do their counter accounting once per logical
-kernel call instead of once per chunk.
+These are the flat-array kernels the engines are written against:
+each is one or two ``np.bincount`` / ``reduceat`` passes over CSR/CSC
+index arrays, no Python-level loops.  They are **pure** — no
+observability calls — so the engine's chunk loops can do their counter
+accounting once per logical kernel call instead of once per chunk.
 
 Other backends subclass :class:`NumpyBackend` and override only the
 kernels they accelerate; anything untouched falls back to these
@@ -34,15 +32,6 @@ def scatter_add(
     if len(indices) == 0:
         return np.zeros(size, dtype=np.float64)
     return np.bincount(indices, weights=weights, minlength=size)
-
-
-def bincount(
-    keys: np.ndarray, weights: np.ndarray, minlength: int
-) -> np.ndarray:
-    """Weighted bincount over flat keys (fused-scatter primitive)."""
-    if keys.size == 0:
-        return np.zeros(minlength, dtype=np.float64)
-    return np.bincount(keys, weights=weights, minlength=minlength)
 
 
 def take_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -108,36 +97,6 @@ def scatter_select_color_sums(
     counts = indptr[select + 1] - starts
     positions = take_ranges(starts, counts)
     return scatter_add(labels[indices[positions]], data[positions], n_colors)
-
-
-def color_degree_slice(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    data: np.ndarray,
-    rows: np.ndarray,
-    labels: np.ndarray,
-    n_colors: int,
-) -> np.ndarray:
-    """Dense ``k x |rows|`` degree slice of the selected CSR rows.
-
-    Column ``r`` holds the total weight from ``rows[r]`` toward every
-    color.  One ``O(nnz(rows) + k |rows|)`` bincount over flattened
-    ``(color, local row)`` keys.  Rows absent from the selection's
-    neighborhoods come out exactly zero (no subtraction residues), which
-    the geometric/relative split thresholds rely on.
-    """
-    rows = np.asarray(rows, dtype=np.int64)
-    r = rows.size
-    if r == 0 or n_colors == 0:
-        return np.zeros((n_colors, r), dtype=np.float64)
-    starts = indptr[rows]
-    counts = indptr[rows + 1] - starts
-    positions = take_ranges(starts, counts)
-    local = np.repeat(np.arange(r, dtype=np.int64), counts)
-    flat = labels[indices[positions]] * r + local
-    return np.bincount(
-        flat, weights=data[positions], minlength=n_colors * r
-    ).reshape(n_colors, r)
 
 
 def color_degree_slice_pair(
@@ -206,34 +165,6 @@ def select_degrees_toward(
     return np.bincount(local[mask], weights=data[positions][mask], minlength=r)
 
 
-def grouped_minmax_by_labels(
-    values: np.ndarray, labels: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-label max/min of a row-per-node array (1-D or 2-D).
-
-    Labels must be contiguous ``0..k-1`` with no empty classes
-    (``reduceat`` over duplicated start offsets would silently read the
-    wrong element otherwise).
-    """
-    if k == 0:
-        shape = (0,) if values.ndim == 1 else (0, values.shape[1])
-        return (
-            np.empty(shape, dtype=values.dtype),
-            np.empty(shape, dtype=values.dtype),
-        )
-    order = np.argsort(labels, kind="stable")
-    sizes = np.bincount(labels, minlength=k)
-    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-    sorted_values = values[order]
-    if values.ndim == 1:
-        upper = np.maximum.reduceat(sorted_values, starts)
-        lower = np.minimum.reduceat(sorted_values, starts)
-    else:
-        upper = np.maximum.reduceat(sorted_values, starts, axis=0)
-        lower = np.minimum.reduceat(sorted_values, starts, axis=0)
-    return upper, lower
-
-
 def grouped_minmax_ordered(
     values: np.ndarray, order: np.ndarray, starts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -263,14 +194,11 @@ class NumpyBackend:
     parallel_kernels = False
 
     scatter_add = staticmethod(scatter_add)
-    bincount = staticmethod(bincount)
     take_ranges = staticmethod(take_ranges)
     scatter_select_sums = staticmethod(scatter_select_sums)
     scatter_select_color_sums = staticmethod(scatter_select_color_sums)
-    color_degree_slice = staticmethod(color_degree_slice)
     color_degree_slice_pair = staticmethod(color_degree_slice_pair)
     select_degrees_toward = staticmethod(select_degrees_toward)
-    grouped_minmax_by_labels = staticmethod(grouped_minmax_by_labels)
     grouped_minmax_ordered = staticmethod(grouped_minmax_ordered)
 
     # solver kernel family (reference semantics in solver_numpy)

@@ -10,11 +10,9 @@ reproduce to 1e-9 (the BFS/flow kernels are bit-identical; the Brandes
 batch tolerates re-association of the dependency sums).
 
 The module is deliberately **self-contained** — plain numpy only, no
-imports from :mod:`repro.solvers` or :mod:`repro.core.kernels` — so the
-backends package never forms an import cycle through the solver tier
-(``core/kernels.py`` imports this package at module level).  The gather
-helpers below mirror the reference kernels in ``numpy_backend``
-verbatim.
+imports from :mod:`repro.solvers` — so the backends package never forms
+an import cycle through the solver tier.  The gather helpers below
+mirror the reference kernels in ``numpy_backend`` verbatim.
 
 All kernels are **pure** of observability: work counters (phases,
 relabels, pushes, augmentations) are *returned* so the dispatch layer
@@ -66,7 +64,7 @@ def _unique_int(values: np.ndarray) -> np.ndarray:
     return values[keep]
 
 
-def _frontier_arcs(
+def _residual_frontier_arcs(
     indptr: np.ndarray,
     arcs: np.ndarray,
     cap: np.ndarray,
@@ -103,7 +101,7 @@ def solve_bfs_levels(
     frontier = np.array([source], dtype=np.int64)
     depth = 0
     while frontier.size:
-        heads = head[_frontier_arcs(indptr, arcs, cap, frontier)]
+        heads = head[_residual_frontier_arcs(indptr, arcs, cap, frontier)]
         heads = heads[level[heads] < 0]
         if heads.size == 0:
             break
@@ -139,7 +137,7 @@ def solve_bfs_parents(
     visited[source] = True
     frontier = np.array([source], dtype=np.int64)
     while frontier.size:
-        arc_ids = _frontier_arcs(indptr, arcs, cap, frontier)
+        arc_ids = _residual_frontier_arcs(indptr, arcs, cap, frontier)
         heads = head[arc_ids]
         fresh = ~visited[heads]
         arc_ids, heads = arc_ids[fresh], heads[fresh]

@@ -1,54 +1,23 @@
-"""Shared vectorized kernels for degree-matrix maintenance.
+"""Plain-numpy helpers shared by the coloring engines and metrics.
 
-The coloring engines (static :class:`~repro.core.rothko.Rothko`, streaming
-:class:`~repro.dynamic.DynamicColoring`), the q-error metrics, the
-block-weight tracker, and the arc-store solvers all reduce to the same
-handful of primitives over CSR/CSC index arrays:
+The hot kernels (scatters, gathers, degree slices, ordered min/max)
+live on the :class:`~repro.core.backends.base.Backend` instance the
+caller resolved — :class:`~repro.core.rothko.Rothko` holds its own,
+everything else asks :func:`repro.core.backends.resolve_backend` — and
+are called as methods on it.  This module keeps only the helpers no
+backend implements:
 
-* :func:`scatter_add` — accumulate weighted contributions into a dense
-  vector (one ``np.bincount``, no Python-level loop);
-* :func:`take_ranges` — concatenate ``arange(start, start + count)``
-  slices, the gather step for selecting a subset of CSR rows / CSC
-  columns directly out of ``indptr``/``indices``/``data``;
-* :func:`scatter_select_sums` — per-node total weight toward a *member
-  subset* (one degree-matrix column) in ``O(nnz(members))``;
-* :func:`scatter_select_color_sums` — per-*color* total weight of a
-  member subset (one row or column of the block-weight matrix
-  ``W = S^T A S``) in ``O(nnz(members))``;
-* :func:`color_degree_slice` — the ``k x |rows|`` degree-matrix *slice*
-  of a row subset, in ``O(nnz(rows) + k |rows|)``;
-* :func:`select_degrees_toward` — per-selected-row total weight toward
-  one target color (the split-threshold degree vector
-  ``D[j, members(i)]``) in ``O(nnz(rows))``;
-* :func:`color_degree_matrix` — the full dense ``n x k`` degree matrix in
-  one ``O(m)`` bincount over flattened ``(node, color)`` keys;
+* :func:`as_csr_square` — shared square-CSR input coercion;
+* :func:`color_degree_matrix` / :func:`color_degree_matrix_t` /
+  :func:`color_degree_matrices` — the full dense degree matrices in one
+  ``O(m)`` ``np.bincount`` over flattened ``(node, color)`` keys, for
+  verification, the q-error recount, and the dynamic engine's seed;
 * :func:`grouped_minmax_by_labels` — per-color max/min (the ``U``/``L``
   boundary matrices of Algorithm 1) via argsort + ``reduceat``;
-* :func:`grouped_minmax_by_members` / :func:`members_order` /
-  :func:`grouped_minmax_ordered` — the member-list variants that skip
-  the argsort.
-
-Since the backend-dispatch refactor, the hot kernels here are thin
-fronts over the **process-default backend**
-(:func:`repro.core.backends.default_backend` — numpy reference or
-numba; resolution order ``REPRO_BACKEND`` env then auto-detect).
-The reference implementations live in
-:mod:`repro.core.backends.numpy_backend`; every other backend is held
-to bit-identical results by the parity test sweep, so callers never
-need to know which one is active.  Code that wants a *specific*
-backend (e.g. a :class:`~repro.core.rothko.Rothko` instance built with
-``backend=``) holds its own resolved instance and calls its methods
-directly.
-
-Everything operates on plain numpy arrays so the kernels compose with
-both scipy sparse matrices and the dict-of-dicts mutable graph.
-
-The bincount-shaped kernels report their scattered cell counts to the
-``kernels.bincount_cells`` counter (:mod:`repro.obs`) — one counter add
-per kernel call *here at the dispatch layer*, nothing per cell and
-nothing inside the backend implementations, so chunked callers that
-talk to a backend directly (the Rothko refresh loops) can accumulate
-locally and emit a single count per logical kernel call.
+* :func:`members_order` — the color-sorted node order that lets
+  ``Backend.grouped_minmax_ordered`` skip that argsort;
+* :func:`relative_spread` — the Sec. 3.1 relative error with its zero
+  convention.
 """
 
 from __future__ import annotations
@@ -56,28 +25,13 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from repro.core.backends import default_backend
-from repro.core.backends.numpy_backend import (
-    grouped_minmax_by_labels as _np_grouped_minmax_by_labels,
-)
-from repro.obs import recorder as _obs
-
 __all__ = [
     "as_csr_square",
-    "scatter_add",
-    "take_ranges",
-    "scatter_select_sums",
-    "scatter_select_color_sums",
-    "color_degree_slice",
-    "color_degree_slice_pair",
-    "select_degrees_toward",
     "color_degree_matrix",
     "color_degree_matrix_t",
     "color_degree_matrices",
     "grouped_minmax_by_labels",
-    "grouped_minmax_by_members",
     "members_order",
-    "grouped_minmax_ordered",
     "relative_spread",
 ]
 
@@ -88,119 +42,6 @@ def as_csr_square(adjacency: sp.spmatrix | np.ndarray) -> sp.csr_matrix:
     if matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"adjacency must be square, got {matrix.shape}")
     return matrix
-
-
-def scatter_add(
-    indices: np.ndarray, weights: np.ndarray, size: int
-) -> np.ndarray:
-    """Dense ``out[i] = sum of weights where indices == i`` (length
-    ``size``), on the active backend."""
-    return default_backend().scatter_add(indices, weights, size)
-
-
-def take_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Concatenated ``arange(start, start + count)`` for each pair."""
-    return default_backend().take_ranges(starts, counts)
-
-
-def scatter_select_sums(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    data: np.ndarray,
-    select: np.ndarray,
-    size: int,
-) -> np.ndarray:
-    """Sum of the selected CSR rows (or CSC columns), scattered by index.
-
-    For a CSC adjacency and ``select = members(P_j)`` this is exactly the
-    degree-matrix column ``D_out[:, j] = w(v, P_j)``; on the CSR arrays it
-    yields ``D_in[:, j] = w(P_j, v)``.  Runs in ``O(nnz(select))``.
-    """
-    _obs._active.count("kernels.bincount_cells", size)
-    return default_backend().scatter_select_sums(
-        indptr, indices, data, select, size
-    )
-
-
-def scatter_select_color_sums(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    data: np.ndarray,
-    select: np.ndarray,
-    labels: np.ndarray,
-    n_colors: int,
-) -> np.ndarray:
-    """Total weight of the selected CSR rows (CSC columns), per *color*.
-
-    On the CSR arrays with ``select = members(P_i)`` this is one row of
-    the block-weight matrix: ``W[i, j] = w(P_i, P_j)`` for every ``j``;
-    the incremental block-weight tracker patches dirtied rows/columns
-    with it in ``O(nnz(select))``.
-    """
-    return default_backend().scatter_select_color_sums(
-        indptr, indices, data, select, labels, n_colors
-    )
-
-
-def color_degree_slice(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    data: np.ndarray,
-    rows: np.ndarray,
-    labels: np.ndarray,
-    n_colors: int,
-) -> np.ndarray:
-    """Dense ``k x |rows|`` degree slice of the selected CSR rows.
-
-    Column ``r`` holds the total weight from ``rows[r]`` toward every
-    color: on CSR arrays this is ``D_out[:, rows].T`` restricted to the
-    selection, on CSC arrays ``D_in[:, rows].T``.  Entries are exactly
-    zero iff every term is (no subtraction residues), which the
-    geometric/relative split thresholds rely on.
-    """
-    rows = np.asarray(rows, dtype=np.int64)
-    _obs._active.count("kernels.bincount_cells", n_colors * rows.size)
-    return default_backend().color_degree_slice(
-        indptr, indices, data, rows, labels, n_colors
-    )
-
-
-def color_degree_slice_pair(
-    csr_arrays: tuple[np.ndarray, np.ndarray, np.ndarray],
-    csc_arrays: tuple[np.ndarray, np.ndarray, np.ndarray],
-    rows: np.ndarray,
-    labels: np.ndarray,
-    n_colors: int,
-) -> np.ndarray:
-    """Both directions' degree slices of a row subset in one pass.
-
-    Returns ``(2, k, |rows|)``: layer 0 is the out slice (from the CSR
-    arrays), layer 1 the in slice (from the CSC arrays).
-    """
-    rows = np.asarray(rows, dtype=np.int64)
-    _obs._active.count("kernels.bincount_cells", 2 * n_colors * rows.size)
-    return default_backend().color_degree_slice_pair(
-        csr_arrays, csc_arrays, rows, labels, n_colors
-    )
-
-
-def select_degrees_toward(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    data: np.ndarray,
-    rows: np.ndarray,
-    labels: np.ndarray,
-    targets: int | np.ndarray,
-) -> np.ndarray:
-    """Per selected row, the total weight toward a target color.
-
-    ``targets`` is either one color id (every row measured toward the
-    same color) or an array of one target per row (fusing several
-    selections into a single ``O(nnz(rows))`` pass).
-    """
-    return default_backend().select_degrees_toward(
-        indptr, indices, data, rows, labels, targets
-    )
 
 
 def color_degree_matrix(
@@ -223,8 +64,8 @@ def color_degree_matrix(
         return np.zeros((n, n_colors), dtype=np.float64)
     rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
     flat = rows * n_colors + labels[indices]
-    return default_backend().bincount(
-        flat, data, n * n_colors
+    return np.bincount(
+        flat, weights=data, minlength=n * n_colors
     ).reshape(n, n_colors)
 
 
@@ -238,16 +79,15 @@ def color_degree_matrix_t(
     """Transposed variant of :func:`color_degree_matrix`: dense ``k x n``.
 
     Color-major storage keeps each degree *column* contiguous, which is
-    the access pattern of the incremental Rothko engine (splits refresh,
-    gather, and difference whole columns).
+    the access pattern of the Rothko engine's verification recompute.
     """
     n = indptr.size - 1
     if n_colors == 0 or n == 0:
         return np.zeros((n_colors, n), dtype=np.float64)
     rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
     flat = labels[indices] * n + rows
-    return default_backend().bincount(
-        flat, data, n_colors * n
+    return np.bincount(
+        flat, weights=data, minlength=n_colors * n
     ).reshape(n_colors, n)
 
 
@@ -270,12 +110,30 @@ def grouped_minmax_by_labels(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-label max/min of a row-per-node array (1-D or 2-D).
 
-    The ``argsort`` + ``reduceat`` kernel shared by the static engine and
-    :class:`repro.dynamic.DynamicColoring`.  Labels must be contiguous
-    ``0..k-1`` with no empty classes (``reduceat`` over duplicated start
-    offsets would silently read the wrong element otherwise).
+    The ``argsort`` + ``reduceat`` kernel shared by the q-error metrics,
+    :meth:`Rothko.verify_state <repro.core.rothko.Rothko.verify_state>`
+    and :class:`repro.dynamic.DynamicColoring`.  Labels must be
+    contiguous ``0..k-1`` with no empty classes (``reduceat`` over
+    duplicated start offsets would silently read the wrong element
+    otherwise).
     """
-    return default_backend().grouped_minmax_by_labels(values, labels, k)
+    if k == 0:
+        shape = (0,) if values.ndim == 1 else (0, values.shape[1])
+        return (
+            np.empty(shape, dtype=values.dtype),
+            np.empty(shape, dtype=values.dtype),
+        )
+    order = np.argsort(labels, kind="stable")
+    sizes = np.bincount(labels, minlength=k)
+    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    sorted_values = values[order]
+    if values.ndim == 1:
+        upper = np.maximum.reduceat(sorted_values, starts)
+        lower = np.minimum.reduceat(sorted_values, starts)
+    else:
+        upper = np.maximum.reduceat(sorted_values, starts, axis=0)
+        lower = np.minimum.reduceat(sorted_values, starts, axis=0)
+    return upper, lower
 
 
 def members_order(
@@ -285,10 +143,10 @@ def members_order(
 
     The concatenated member lists *are* a color-sorted node order, so
     per-color reductions need no argsort.  Build this once per refresh
-    and feed it to :func:`grouped_minmax_ordered` for every value chunk.
-    Member lists must be non-empty.  Callers that already maintain the
-    per-color sizes (the Rothko engine) pass them via ``sizes`` to skip
-    the per-list size scan.
+    and feed it to ``Backend.grouped_minmax_ordered`` for every value
+    chunk.  Member lists must be non-empty.  Callers that already
+    maintain the per-color sizes (the Rothko engine) pass them via
+    ``sizes`` to skip the per-list size scan.
     """
     if not members:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
@@ -301,31 +159,6 @@ def members_order(
     return order, starts
 
 
-def grouped_minmax_ordered(
-    values: np.ndarray, order: np.ndarray, starts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-color max/min over the columns of a feature-major array, given
-    a precomputed :func:`members_order` pair.  ``values`` is ``(r, n)``;
-    the result pair is ``(r, k)`` — one ``O(r n)`` gather + reduction.
-    """
-    return default_backend().grouped_minmax_ordered(values, order, starts)
-
-
-def grouped_minmax_by_members(
-    values: np.ndarray, members: list[np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-color max/min over the *columns* of a feature-major array.
-
-    ``values`` is ``(r, n)`` — one row per tracked feature, one column
-    per node (matching the color-major degree-matrix storage); the result
-    pair is ``(r, k)``.  Skips the ``O(n log n)`` argsort of
-    :func:`grouped_minmax_by_labels` via :func:`members_order`.  Member
-    lists must be non-empty.
-    """
-    order, starts = members_order(members)
-    return grouped_minmax_ordered(values, order, starts)
-
-
 def relative_spread(upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
     """Per-block relative error ``log(max / min)`` with the Sec. 3.1 zero
     convention: blocks mixing zero and nonzero degrees get ``inf``."""
@@ -335,8 +168,3 @@ def relative_spread(upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
     spread[mixed] = np.inf
     spread[positive] = np.log(upper[positive] / lower[positive])
     return spread
-
-
-# re-exported for callers that need the reference implementation
-# regardless of the active backend (verify paths, tests)
-_reference_grouped_minmax_by_labels = _np_grouped_minmax_by_labels

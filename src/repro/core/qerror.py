@@ -19,10 +19,11 @@ outgoing *and* incoming weights):
 
 On symmetric adjacency (undirected graphs) ``in_err = out_err.T``.
 
-The heavy lifting is shared with the Rothko engine via
-:mod:`repro.core.kernels`: the degree matrices are one ``O(m)`` bincount
-each, and the metric functions accept precomputed matrices so a full
-report builds them exactly once.
+The degree matrices are one ``O(m)`` bincount each
+(:mod:`repro.core.kernels`), the per-color min/max runs on the
+process-default backend's ``grouped_minmax_ordered`` kernel (the one
+the Rothko engine uses), and the metric functions accept precomputed
+matrices so a full report builds them exactly once.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.core import kernels
+from repro.core.backends import resolve_backend
 from repro.core.partition import Coloring
 
 def _as_csr(adjacency: sp.spmatrix | np.ndarray) -> sp.csr_matrix:
@@ -55,16 +57,20 @@ def grouped_minmax(
     """Per-color column-wise max and min of a row-per-node matrix.
 
     ``U[i, j] = max_{v in P_i} values[v, j]`` and symmetrically for ``L``.
-    Delegates to the shared argsort + ``reduceat`` kernel
-    (:func:`repro.core.kernels.grouped_minmax_by_labels`).
+    One stable argsort gives the color-sorted node order; the reduction
+    is the process-default backend's ``grouped_minmax_ordered`` over the
+    feature-major view ``values.T``.
     """
     if values.shape[0] != coloring.n:
         raise ValueError(
             f"values has {values.shape[0]} rows but coloring has {coloring.n} nodes"
         )
-    return kernels.grouped_minmax_by_labels(
-        values, coloring.labels, coloring.n_colors
+    sizes = coloring.sizes
+    order = np.argsort(coloring.labels, kind="stable")
+    upper, lower = resolve_backend(None).grouped_minmax_ordered(
+        values.T, order, np.cumsum(sizes) - sizes
     )
+    return upper.T, lower.T
 
 
 def error_matrices(

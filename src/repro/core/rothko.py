@@ -38,11 +38,11 @@ degree **slices** it needs, straight off the CSR/CSC index arrays:
   (an edge-chunked masked bincount, ``O(nnz(members))``);
 * after the split of ``c`` into ``(c, t)``, the dirty *columns*
   ``{c, t}`` of ``U``/``L`` from the two fresh degree columns
-  (:func:`repro.core.kernels.scatter_select_sums` + one member-order
-  gather and ``reduceat`` — no argsort) and the dirty *row-groups*
-  ``{c, t}`` from ``k x |members|`` degree slices
-  (:func:`repro.core.kernels.color_degree_slice`, reduced in bounded
-  member chunks so transient memory stays ``O(k)`` per chunk row).
+  (``Backend.scatter_select_sums`` + one member-order gather and
+  ``reduceat`` — no argsort) and the dirty *row-groups* ``{c, t}`` from
+  ``2 x k x |members|`` degree slices
+  (``Backend.color_degree_slice_pair``, reduced in bounded member
+  chunks so transient memory stays ``O(k)`` per chunk row).
 
 Witness selection stays a pair of ``O(k^2)`` argmax scans.  Per-split
 work is
@@ -69,9 +69,10 @@ maintained state against a from-scratch recompute; the invariant test
 suite drives it after every split in both strategies.
 
 The hot kernels dispatch through a resolved
-:class:`~repro.core.backends.base.Backend` (``backend=`` argument, the
-``REPRO_BACKEND`` environment variable, or auto-detection — numba when
-importable, else the numpy reference; see :mod:`repro.core.backends`).
+:class:`~repro.core.backends.base.Backend` (``backend=`` argument, else
+the process default: ``set_default_backend``, the ``REPRO_BACKEND``
+environment variable, or auto-detection — numba when importable, else
+the numpy reference; see :mod:`repro.core.backends`).
 The engine holds the resolved instance and calls its methods directly,
 so per-kernel dispatch is one attribute lookup.  All backends are
 bit-identical (the parity sweep enforces it), so the choice affects
@@ -174,6 +175,10 @@ def coerce_adjacency(graph) -> sp.csr_matrix:
         raise TypeError(f"cannot interpret {type(graph).__name__} as a graph")
     if matrix.shape[0] != matrix.shape[1]:
         raise ColoringError(f"adjacency must be square, got {matrix.shape}")
+    # Memmapped (read-only) snapshots are not scanned: that would page
+    # the whole edge file in.
+    if matrix.data.flags.writeable and not np.isfinite(matrix.data).all():
+        raise ColoringError("adjacency weights must be finite (found NaN/inf)")
     return matrix
 
 
@@ -388,8 +393,8 @@ class Rothko:
     backend:
         Kernel backend: a name (``"numpy"``, ``"numba"``, ``"auto"``),
         a resolved :class:`~repro.core.backends.base.Backend` instance,
-        or ``None`` — which consults the ``REPRO_BACKEND`` environment
-        variable and falls back to auto-detection.  All backends produce
+        or ``None`` — the process default (``set_default_backend``,
+        else ``REPRO_BACKEND``, else auto-detection).  All backends produce
         bit-identical colorings; this knob trades wall-clock only.
     workers:
         Worker fan-out for batched rounds (``None`` consults
@@ -947,7 +952,7 @@ class Rothko:
                 (k + labels[nodes_i]) * rc + local_i,
             ]
             if single:
-                combined = kernel.bincount(
+                combined = kernel.scatter_add(
                     np.concatenate(
                         keys_slice
                         + [cells + keys_cols_i, cells + keys_cols_o]
@@ -964,13 +969,13 @@ class Rothko:
                     self._u_in[group, :k] = sub[1].max(axis=1)
                     self._l_in[group, :k] = sub[1].min(axis=1)
             else:
-                block = kernel.bincount(
+                block = kernel.scatter_add(
                     np.concatenate(keys_slice),
                     np.concatenate([w_o, w_i]),
                     cells,
                 ).reshape(2, k, rc)
                 if accumulate:
-                    part = kernel.bincount(
+                    part = kernel.scatter_add(
                         np.concatenate([keys_cols_i, keys_cols_o]),
                         np.concatenate([w_i, w_o]),
                         4 * n,
@@ -987,7 +992,7 @@ class Rothko:
                             # Flush: row incidences are <= 2n per atomic
                             # hub row and the cap is >= 4n, so a drained
                             # buffer always fits the incoming chunk.
-                            part = kernel.bincount(
+                            part = kernel.scatter_add(
                                 key_buffer[:filled],
                                 weight_buffer[:filled],
                                 4 * n,
@@ -1022,7 +1027,7 @@ class Rothko:
                 self._u_in[group, :k] = upper[group_index, 1]
                 self._l_in[group, :k] = lower[group_index, 1]
             if collect:
-                part = kernel.bincount(
+                part = kernel.scatter_add(
                     key_buffer[:filled],
                     weight_buffer[:filled],
                     4 * n,

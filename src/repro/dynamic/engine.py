@@ -41,11 +41,11 @@ from typing import Iterable, Sequence
 import numpy as np
 import scipy.sparse as sp
 
+from repro.core.backends import Backend, resolve_backend
 from repro.core.kernels import (
     color_degree_matrices,
     grouped_minmax_by_labels,
     relative_spread,
-    scatter_add,
 )
 from repro.core.partition import Coloring
 from repro.core.rothko import Rothko, split_eject_mask
@@ -137,9 +137,9 @@ class DynamicColoring:
         ``remove_edge`` calls are tracked too.  Use :meth:`detach` (or a
         ``with`` block) to unsubscribe.
     backend:
-        Kernel backend for the seed coloring and budget-triggered
-        rebuilds (see :mod:`repro.core.backends`); the per-arc repair
-        kernels dispatch through the process default regardless.
+        Kernel backend for the seed coloring, budget-triggered rebuilds
+        and the repair kernels (see :mod:`repro.core.backends`);
+        ``None`` is the process default.  Resolved once, here.
     """
 
     def __init__(
@@ -155,7 +155,7 @@ class DynamicColoring:
         merge_attempts: int = 64,
         frozen: Iterable[int] = (),
         attach: bool = True,
-        backend: str | None = None,
+        backend: "str | Backend | None" = None,
     ) -> None:
         if q_tolerance < 0:
             raise ValueError(f"q_tolerance must be non-negative, got {q_tolerance}")
@@ -175,7 +175,7 @@ class DynamicColoring:
         self.max_colors = max_colors
         self.drift_budget = float(drift_budget)
         self.merge_attempts = int(merge_attempts)
-        self.backend = backend
+        self.backend = resolve_backend(backend)
         self.stats = DynamicStats()
 
         self.n = graph.n_nodes
@@ -512,9 +512,8 @@ class DynamicColoring:
         """Rebuild both degree columns for one color from the live graph.
 
         The members' neighborhoods are gathered into flat index/weight
-        arrays and accumulated with the shared
-        :func:`repro.core.kernels.scatter_add` bincount kernel —
-        ``O(nnz(members))`` with no per-edge Python arithmetic.
+        arrays and accumulated with the backend's ``scatter_add``
+        kernel — ``O(nnz(members))`` with no per-edge Python arithmetic.
         """
         n = self.n
         members = self._members[color]
@@ -528,7 +527,8 @@ class DynamicColoring:
 
     def _gathered_column(self, members: np.ndarray, neighbors_of) -> np.ndarray:
         """One degree-matrix column: total weight between each node and
-        the member set, accumulated via the shared bincount kernel."""
+        the member set, accumulated via the backend's ``scatter_add``
+        kernel."""
         index_chunks: list[np.ndarray] = []
         weight_chunks: list[np.ndarray] = []
         for v in members.tolist():
@@ -544,7 +544,7 @@ class DynamicColoring:
                 )
         if not index_chunks:
             return np.zeros(self.n, dtype=np.float64)
-        return scatter_add(
+        return self.backend.scatter_add(
             np.concatenate(index_chunks),
             np.concatenate(weight_chunks),
             self.n,

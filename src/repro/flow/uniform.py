@@ -21,7 +21,7 @@ import numpy as np
 import scipy.optimize
 import scipy.sparse as sp
 
-from repro.core.kernels import scatter_select_sums
+from repro.core.backends import resolve_backend
 from repro.exceptions import FlowError
 from repro.flow.network import FlowNetwork, max_flow
 from repro.graphs.bipartite import BipartiteGraph
@@ -55,11 +55,12 @@ def lemma8_condition_holds(graph: BipartiteGraph, a: float, b: float) -> bool:
         )
     target = min(a * n_left, b * n_right)
     matrix = graph.matrix
+    kernel = resolve_backend(None)
     left_all = range(n_left)
     for ls in range(n_left + 1):
         for subset_left in combinations(left_all, ls):
             if subset_left:
-                col_sums = scatter_select_sums(
+                col_sums = kernel.scatter_select_sums(
                     matrix.indptr, matrix.indices, matrix.data,
                     np.asarray(subset_left, dtype=np.int64), n_right,
                 )

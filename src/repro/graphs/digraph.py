@@ -25,6 +25,7 @@ treatment in Sec. 3).
 
 from __future__ import annotations
 
+import math
 import warnings
 from typing import Any, Hashable, Iterable, Iterator, Mapping, Sequence, Tuple
 
@@ -196,23 +197,29 @@ class WeightedDiGraph:
         For undirected graphs the reverse direction is stored as well.
         A weight of exactly zero means "no edge" (Sec. 3 convention), so
         adding a zero-weight edge removes any existing edge instead.
+        NaN and infinite weights raise :class:`GraphError`.
         """
+        weight = float(weight)
+        if not math.isfinite(weight):
+            raise GraphError(
+                f"edge {u!r} -> {v!r}: weight {weight} is not finite"
+            )
         if weight == 0.0:
             self.remove_edge(u, v, missing_ok=True)
             return
         ui = self.add_node(u)
         vi = self.add_node(v)
         old = self._succ[ui].get(vi, 0.0)
-        self._succ[ui][vi] = float(weight)
-        self._pred[vi][ui] = float(weight)
+        self._succ[ui][vi] = weight
+        self._pred[vi][ui] = weight
         if not self.directed and ui != vi:
-            self._succ[vi][ui] = float(weight)
-            self._pred[ui][vi] = float(weight)
+            self._succ[vi][ui] = weight
+            self._pred[ui][vi] = weight
         self._invalidate()
         if self._listeners:
-            self._notify_arc(ui, vi, old, float(weight))
+            self._notify_arc(ui, vi, old, weight)
             if not self.directed and ui != vi:
-                self._notify_arc(vi, ui, old, float(weight))
+                self._notify_arc(vi, ui, old, weight)
 
     def add_weighted_edges(self, edges: Iterable[EdgeTriple]) -> None:
         for u, v, w in edges:
@@ -445,7 +452,8 @@ class WeightedDiGraph:
         ``src``/``dst`` hold integer node indices; ``weight`` defaults
         to all ones.  Duplicate ``(src, dst)`` pairs sum their weights
         (COO semantics); exact-zero weights are dropped (Sec. 3: zero
-        means "no edge").  For ``directed=False`` pass each undirected
+        means "no edge") and NaN/infinite weights raise
+        :class:`GraphError`.  For ``directed=False`` pass each undirected
         edge once, in either orientation.  ``labels``, when given, must
         have one entry per node and assigns ``labels[i]`` to index ``i``.
         """
@@ -463,6 +471,13 @@ class WeightedDiGraph:
                 raise GraphError(
                     f"weight must match src/dst, got {weight.size} edges "
                     f"vs {src.size}"
+                )
+            finite = np.isfinite(weight)
+            if not finite.all():
+                arc = int(np.flatnonzero(~finite)[0])
+                raise GraphError(
+                    f"arc {arc}: {src[arc]} -> {dst[arc]}: weight "
+                    f"{weight[arc]} is not finite"
                 )
         if n_nodes is None:
             n = int(max(src.max(), dst.max())) + 1 if src.size else 0

@@ -65,10 +65,11 @@ class ColoringSpec:
     initial: Coloring | None = None
     frozen: tuple[int, ...] = ()
     error_mode: str = "absolute"
-    #: kernel backend spec ("numpy", "numba", "auto", or None =
-    #: REPRO_BACKEND / auto).  Backends are bit-identical, but the cache
-    #: key still carries the *resolved* name so colorings computed by
-    #: different backends never alias.
+    #: kernel backend spec ("numpy", "numba", "auto", or None = the
+    #: process default: set_default_backend / REPRO_BACKEND / auto).
+    #: Backends are bit-identical, but the cache key still carries the
+    #: *resolved* name so colorings computed by different backends never
+    #: alias.
     backend: str | None = None
     #: worker fan-out for the engine's batched rounds (None = the
     #: ``REPRO_WORKERS`` environment default).  Deliberately *not* part
@@ -92,7 +93,7 @@ class ColoringSpec:
 
     def resolved_backend(self) -> str:
         """The backend name this spec's engine will actually run on
-        (``None``/``"auto"`` specs consult the environment here)."""
+        (``None`` specs resolve to the process default here)."""
         from repro.core.backends import resolve_backend
 
         return resolve_backend(self.backend).name

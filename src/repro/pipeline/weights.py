@@ -11,8 +11,9 @@ multi-k sweep recomputes the sparse triple product ``S^T A S`` — an
 :class:`~repro.core.rothko.Rothko` engine: a split of color ``c`` into
 ``(c, t)`` dirties exactly the rows ``{c, t}`` and columns ``{c, t}``
 (every other block keeps its members on both sides).  Dirty lines are
-rebuilt by the :func:`~repro.core.kernels.scatter_select_color_sums`
-kernel in ``O(nnz(color) + k)`` each — direct sums of the affected edge
+rebuilt by the backend's ``scatter_select_color_sums`` kernel (the
+process default, see :mod:`repro.core.backends`) in
+``O(nnz(color) + k)`` each — direct sums of the affected edge
 weights, so exact zeros stay exact and no subtraction residue can
 materialize spurious blocks.  Dirty colors may be accumulated across
 several splits and refreshed in one batch (the progressive runner does
@@ -30,7 +31,8 @@ from typing import Iterable, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from repro.core.kernels import as_csr_square, scatter_select_color_sums
+from repro.core.backends import resolve_backend
+from repro.core.kernels import as_csr_square
 from repro.core.partition import first_occurrence_values
 
 __all__ = ["BlockWeightTracker", "canonical_order"]
@@ -105,12 +107,13 @@ class BlockWeightTracker:
         self._grow(k)
         self.k = k
         w = self._w
+        kernel = resolve_backend(None)
         for color, members in zip(colors, members_of):
-            w[color, :k] = scatter_select_color_sums(
+            w[color, :k] = kernel.scatter_select_color_sums(
                 self._csr.indptr, self._csr.indices, self._csr.data,
                 members, labels, k,
             )
-            w[:k, color] = scatter_select_color_sums(
+            w[:k, color] = kernel.scatter_select_color_sums(
                 self._csc.indptr, self._csc.indices, self._csc.data,
                 members, labels, k,
             )

@@ -18,7 +18,6 @@ from repro.solvers.arcstore import (
     arc_store_for,
     bfs_levels,
     bfs_parents,
-    resolve_solver_backend,
 )
 from repro.solvers.betweenness import (
     betweenness_centrality_csr,
@@ -31,7 +30,6 @@ __all__ = [
     "arc_store_for",
     "bfs_levels",
     "bfs_parents",
-    "resolve_solver_backend",
     "betweenness_centrality_csr",
     "single_source_dependencies_csr",
     "dinic",

@@ -32,8 +32,8 @@ The traversals dispatch through the backend layer
 numpy reference lives in ``core/backends/solver_numpy.py``, and the
 numba backend fuses the whole frontier loop into one compiled pass
 with identical discovery order (bit-identical levels and parents).
-:func:`resolve_solver_backend` is the shared resolution rule: an
-explicit request wins, otherwise the *process default*
+Backends resolve through :func:`repro.core.backends.resolve_backend`:
+an explicit request wins, otherwise the *process default*
 (``set_default_backend`` / ``REPRO_BACKEND`` / auto) applies — the
 same backend the coloring kernels are using.
 """
@@ -46,26 +46,12 @@ from typing import TYPE_CHECKING, Dict, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from repro.core.backends import Backend, default_backend, resolve_backend
-from repro.core.kernels import take_ranges
+from repro.core.backends import Backend, resolve_backend
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.graphs.digraph import WeightedDiGraph
 
 _EPS = 1e-12
-
-
-def resolve_solver_backend(backend: "str | Backend | None") -> Backend:
-    """Backend for a solver call: explicit request, else process default.
-
-    ``resolve_backend(None)`` consults only the environment, which would
-    silently drop a CLI-level ``set_default_backend`` — so ``None`` maps
-    to :func:`default_backend` here, keeping the solver tier on whatever
-    the rest of the process (Rothko included) resolved to.
-    """
-    if backend is None:
-        return default_backend()
-    return resolve_backend(backend)
 
 
 def unique_int(values: np.ndarray) -> np.ndarray:
@@ -215,16 +201,6 @@ def arc_store_for(graph: "WeightedDiGraph") -> ArcStore:
 # ----------------------------------------------------------------------
 # vectorized traversals
 # ----------------------------------------------------------------------
-def _frontier_arcs(
-    store: ArcStore, cap: np.ndarray, frontier: np.ndarray
-) -> np.ndarray:
-    """All residual arcs (cap > eps) leaving the frontier nodes."""
-    starts = store.indptr[frontier]
-    counts = store.indptr[frontier + 1] - starts
-    arcs = store.arcs[take_ranges(starts, counts)]
-    return arcs[cap[arcs] > _EPS]
-
-
 def bfs_levels(
     store: ArcStore,
     cap: np.ndarray,
@@ -240,7 +216,7 @@ def bfs_levels(
     Dinic's level graph needs).  Dispatches through the backend layer;
     levels are unique, so every backend agrees bit-for-bit.
     """
-    return resolve_solver_backend(backend).solve_bfs_levels(
+    return resolve_backend(backend).solve_bfs_levels(
         store.indptr,
         store.arcs,
         store.head,
@@ -265,7 +241,7 @@ def bfs_parents(
     (ascending frontier, adjacency position) order, an ordering every
     backend reproduces exactly; ``None`` when the sink is unreachable.
     """
-    parent_arc = resolve_solver_backend(backend).solve_bfs_parents(
+    parent_arc = resolve_backend(backend).solve_bfs_parents(
         store.indptr,
         store.arcs,
         store.head,

@@ -4,7 +4,7 @@ The per-source pass of Brandes (2001) is two sweeps over the shortest-
 path DAG.  On the arc-store representation both sweeps vectorize:
 
 * **forward** — a frontier-batched BFS (all of level ``d`` expanded in
-  one gather via :func:`~repro.core.kernels.take_ranges`); the DAG arcs
+  one ``take_ranges`` gather on the process-default backend); the DAG arcs
   discovered at each level are kept, and the path counts ``sigma``
   accumulate with one ``bincount`` scatter per level;
 * **backward** — the dependency accumulation replays the saved levels
@@ -53,10 +53,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.obs import recorder as _obs
-from repro.core.backends import Backend, RoundExecutor
+from repro.core.backends import Backend, RoundExecutor, resolve_backend
 from repro.core.backends.executor import _WORKER_STATE
-from repro.core.kernels import scatter_add, take_ranges
-from repro.solvers.arcstore import resolve_solver_backend, unique_int
+from repro.solvers.arcstore import unique_int
 
 __all__ = [
     "bfs_dag",
@@ -74,6 +73,7 @@ def bfs_dag(
     ``levels[d]`` holds the DAG arcs ``(tails, heads)`` crossing from
     depth ``d`` to ``d + 1`` — everything the backward sweep needs.
     """
+    kernel = resolve_backend(None)
     dist = np.full(n, -1, dtype=np.int64)
     sigma = np.zeros(n)
     dist[source] = 0
@@ -84,7 +84,7 @@ def bfs_dag(
     while frontier.size:
         starts = indptr[frontier]
         counts = indptr[frontier + 1] - starts
-        positions = take_ranges(starts, counts)
+        positions = kernel.take_ranges(starts, counts)
         heads = indices[positions]
         tails = np.repeat(frontier, counts)
         # An arc crosses into depth + 1 exactly when its head was
@@ -96,7 +96,7 @@ def bfs_dag(
         if tails.size == 0:
             break
         dist[heads] = depth + 1
-        sigma += scatter_add(heads, sigma[tails], n)
+        sigma += kernel.scatter_add(heads, sigma[tails], n)
         levels.append((tails, heads))
         frontier = unique_int(heads)
         depth += 1
@@ -110,10 +110,11 @@ def _accumulate(
     n: int,
 ) -> np.ndarray:
     """Backward sweep: dependency vector from saved per-level DAG arcs."""
+    kernel = resolve_backend(None)
     delta = np.zeros(n)
     for tails, heads in reversed(levels):
         contributions = sigma[tails] / sigma[heads] * (1.0 + delta[heads])
-        delta += scatter_add(tails, contributions, n)
+        delta += kernel.scatter_add(tails, contributions, n)
     delta[source] = 0.0
     return delta
 
@@ -147,8 +148,6 @@ def _worker_brandes_batch(job: tuple) -> np.ndarray:
     (``_WORKER_STATE``); only the batch's sources/weights and the
     backend spec cross the pickle boundary.
     """
-    from repro.core.backends import resolve_backend
-
     sources, weights, backend_spec, n = job
     return resolve_backend(backend_spec).solve_brandes_batch(
         _WORKER_STATE["brandes_indptr"],
@@ -270,7 +269,7 @@ def betweenness_centrality_csr(
                 indptr_list, indices_list, data_list, source, n
             )
     elif source_list:
-        active = resolve_solver_backend(backend)
+        active = resolve_backend(backend)
         source_array = np.asarray(source_list, dtype=np.int64)
         weight_array = np.asarray(weight_list)
         lanes = _batch_size(n, int(matrix.nnz), len(source_list))

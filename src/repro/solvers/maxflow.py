@@ -23,13 +23,15 @@ ArcStore` and a residual capacity vector from ``store.residual()``:
   straight off the final residual arrays (one more vectorized BFS) and
   collects the saturated forward arcs leaving the source side.
 
-Each solver takes ``backend=`` (:func:`~repro.solvers.arcstore.
-resolve_solver_backend` rules: explicit wins, else the process
-default) and returns ``(value, cap)`` — the final residual vector is
-the flow witness; :meth:`ArcStore.extract_flow_arrays` turns it into
-per-arc flows.  Results are bit-identical across backends: the kernel
-contracts in :mod:`repro.core.backends.solver_numpy` pin the discovery
-orders, so every backend augments along the same paths.
+Each solver takes ``backend=`` (resolved once by
+:func:`~repro.core.backends.resolve_backend`: explicit wins, else the
+process default, and every kernel of the solve — gathers included —
+runs on that instance) and returns ``(value, cap)`` — the final
+residual vector is the flow witness; :meth:`ArcStore.extract_flow_arrays`
+turns it into per-arc flows.  Results are bit-identical across
+backends: the kernel contracts in :mod:`repro.core.backends.solver_numpy`
+pin the discovery orders, so every backend augments along the same
+paths.
 
 Every solver reports its work counters to :mod:`repro.obs` in one add
 at return — ``solvers.dinic.phases``, ``solvers.pr.relabels`` /
@@ -46,14 +48,8 @@ from typing import List, Set, Tuple
 import numpy as np
 
 from repro.obs import recorder as _obs
-from repro.core.backends import Backend
-from repro.core.kernels import take_ranges
-from repro.solvers.arcstore import (
-    ArcStore,
-    bfs_levels,
-    resolve_solver_backend,
-    unique_int,
-)
+from repro.core.backends import Backend, resolve_backend
+from repro.solvers.arcstore import ArcStore, bfs_levels, unique_int
 
 _EPS = 1e-12
 
@@ -67,6 +63,7 @@ def _sink_side_prune(
     store: ArcStore,
     selected: np.ndarray,
     sink: int,
+    backend: Backend,
 ) -> np.ndarray:
     """Drop admissible arcs that cannot reach the sink.
 
@@ -95,7 +92,7 @@ def _sink_side_prune(
     while frontier.size:
         starts = reversed_indptr[frontier]
         counts = reversed_indptr[frontier + 1] - starts
-        heads = reversed_heads[take_ranges(starts, counts)]
+        heads = reversed_heads[backend.take_ranges(starts, counts)]
         heads = heads[~reaches[heads]]
         if heads.size == 0:
             break
@@ -145,7 +142,7 @@ def dinic(
     backend: "str | Backend | None" = None,
 ) -> Tuple[float, np.ndarray]:
     """Maximum s-t flow by Dinic's algorithm on the arc store."""
-    active = resolve_solver_backend(backend)
+    active = resolve_backend(backend)
     cap = store.residual()
     tail, head, arcs = store.tail, store.head, store.arcs
     total = 0.0
@@ -168,7 +165,7 @@ def dinic(
             & ((level_head < sink_level) | (store.head_by_arc == sink))
         )
         selected = arcs[admissible]
-        selected = _sink_side_prune(store, selected, sink)
+        selected = _sink_side_prune(store, selected, sink, active)
         if selected.size == 0:
             break
         if sink_level <= 2:
@@ -221,9 +218,7 @@ def push_relabel(
     mutates the residual vector in place and returns the work counters.
     """
     cap = store.residual()
-    value, relabels, pushes = resolve_solver_backend(
-        backend
-    ).solve_push_relabel(
+    value, relabels, pushes = resolve_backend(backend).solve_push_relabel(
         store.indptr,
         store.arcs,
         store.head,
@@ -254,9 +249,7 @@ def edmonds_karp(
     identical path sequence and land on the same residual vector.
     """
     cap = store.residual()
-    value, augmentations = resolve_solver_backend(
-        backend
-    ).solve_edmonds_karp(
+    value, augmentations = resolve_backend(backend).solve_edmonds_karp(
         store.indptr,
         store.arcs,
         store.head,
@@ -284,7 +277,7 @@ def min_cut(
     Returns ``(capacity, source_side, cut_arcs, cap)`` where ``cap`` is
     the final residual vector (the max-flow witness).
     """
-    active = resolve_solver_backend(backend)
+    active = resolve_backend(backend)
     _, cap = dinic(store, source, sink, backend=active)
     reachable = bfs_levels(store, cap, source, backend=active) >= 0
     forward_tail = store.tail[0::2]

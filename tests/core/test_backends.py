@@ -8,7 +8,7 @@ dependency-free CI matrix runs only the numpy/resolution/determinism
 parts, the py3.12+numba job runs the full sweep.
 """
 
-import os
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,10 +16,10 @@ import scipy.sparse as sp
 
 from repro.core.backends import (
     KERNEL_NAMES,
+    SOLVER_KERNEL_NAMES,
     Backend,
     RoundExecutor,
     available_backends,
-    default_backend,
     resolve_backend,
     resolve_workers,
     set_default_backend,
@@ -27,9 +27,32 @@ from repro.core.backends import (
 from repro.core.backends import numba_backend
 from repro.core.backends.numpy_backend import NumpyBackend
 from repro.core.partition import Coloring
-from repro.core.rothko import Rothko, q_color
+from repro.core.rothko import Rothko
 
 REFERENCE = NumpyBackend()
+
+
+def _recording_kernel(kernel):
+    def method(self, *args, **kwargs):
+        self.calls[kernel] += 1
+        return getattr(REFERENCE, kernel)(*args, **kwargs)
+
+    method.__name__ = kernel
+    return method
+
+
+class RecordingBackend(NumpyBackend):
+    """The numpy reference, counting every kernel call it serves."""
+
+    name = "recording"
+
+    def __init__(self):
+        self.calls = Counter()
+
+
+for _kernel in KERNEL_NAMES + SOLVER_KERNEL_NAMES:
+    setattr(RecordingBackend, _kernel, _recording_kernel(_kernel))
+del _kernel
 
 
 #: the optional backends the parity sweep covers
@@ -55,6 +78,9 @@ def _random_csr(n, density, seed, negative=False):
 
 @pytest.fixture(autouse=True)
 def _reset_default_backend():
+    # resolve_backend(None) caches the process default, so the env tests
+    # need a fresh one and no test may leak its default to the next
+    set_default_backend(None)
     yield
     set_default_backend(None)
 
@@ -67,7 +93,7 @@ class TestResolution:
         assert "numpy" in available_backends()
 
     def test_default_is_backend_instance(self):
-        assert isinstance(default_backend(), Backend)
+        assert isinstance(resolve_backend(None), Backend)
 
     def test_explicit_name(self):
         assert resolve_backend("numpy").name == "numpy"
@@ -107,9 +133,9 @@ class TestResolution:
 
     def test_set_default_backend(self):
         assert set_default_backend("numpy").name == "numpy"
-        assert default_backend().name == "numpy"
+        assert resolve_backend(None).name == "numpy"
         set_default_backend(None)  # back to lazy env/auto resolution
-        assert default_backend().name in ("numpy", "numba")
+        assert resolve_backend(None).name in ("numpy", "numba")
 
     def test_protocol_surface(self):
         for name in KERNEL_NAMES:
@@ -147,6 +173,14 @@ class TestKernelParity:
         np.testing.assert_array_equal(
             backend.scatter_add(indices, weights, 40), expected
         )
+        # flat fused keys, as the engine's split refresh builds them
+        generator = np.random.default_rng(1)
+        keys = generator.integers(0, 64, size=500)
+        weights = generator.random(500)
+        np.testing.assert_array_equal(
+            backend.scatter_add(keys, weights, 64),
+            REFERENCE.scatter_add(keys, weights, 64),
+        )
 
     def test_take_ranges(self, name):
         backend = optional_backend(name)
@@ -155,16 +189,6 @@ class TestKernelParity:
         np.testing.assert_array_equal(
             backend.take_ranges(starts, counts),
             REFERENCE.take_ranges(starts, counts),
-        )
-
-    def test_bincount(self, name):
-        backend = optional_backend(name)
-        generator = np.random.default_rng(1)
-        keys = generator.integers(0, 64, size=500)
-        weights = generator.random(500)
-        np.testing.assert_array_equal(
-            backend.bincount(keys, weights, 64),
-            REFERENCE.bincount(keys, weights, 64),
         )
 
     @pytest.mark.parametrize("seed", range(3))
@@ -201,24 +225,9 @@ class TestKernelParity:
         )
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_color_degree_slice(self, name, seed):
-        backend = optional_backend(name)
-        matrix, _, labels, k = self._fixture(seed, negative=seed == 2)
-        rows = np.flatnonzero(labels == seed % k)
-        expected = REFERENCE.color_degree_slice(
-            matrix.indptr, matrix.indices, matrix.data, rows, labels, k
-        )
-        np.testing.assert_array_equal(
-            backend.color_degree_slice(
-                matrix.indptr, matrix.indices, matrix.data, rows, labels, k
-            ),
-            expected,
-        )
-
-    @pytest.mark.parametrize("seed", range(3))
     def test_color_degree_slice_pair(self, name, seed):
         backend = optional_backend(name)
-        matrix, csc, labels, k = self._fixture(seed)
+        matrix, csc, labels, k = self._fixture(seed, negative=seed == 2)
         csr_arrays = (matrix.indptr, matrix.indices, matrix.data)
         csc_arrays = (csc.indptr, csc.indices, csc.data)
         rows = np.flatnonzero(labels == seed % k)
@@ -260,10 +269,6 @@ class TestKernelParity:
         labels = generator.integers(0, k, size=n)
         labels[:k] = np.arange(k)
         values = generator.random((n, r)) - 0.5
-        expected = REFERENCE.grouped_minmax_by_labels(values, labels, k)
-        got = backend.grouped_minmax_by_labels(values, labels, k)
-        np.testing.assert_array_equal(got[0], expected[0])
-        np.testing.assert_array_equal(got[1], expected[1])
         members = [np.flatnonzero(labels == c) for c in range(k)]
         order = np.concatenate(members)
         starts = np.cumsum([0] + [m.size for m in members[:-1]])
@@ -280,11 +285,6 @@ class TestKernelParity:
         empty = np.empty(0, dtype=np.int64)
         assert backend.scatter_add(empty, empty.astype(float), 5).shape == (5,)
         assert backend.take_ranges(empty, empty).size == 0
-        matrix = _random_csr(10, 0.2, 0)
-        assert backend.color_degree_slice(
-            matrix.indptr, matrix.indices, matrix.data,
-            empty, np.zeros(10, dtype=np.int64), 3,
-        ).shape == (3, 0)
 
 
 # ----------------------------------------------------------------------
@@ -329,17 +329,78 @@ class TestColoringParity:
         )
         assert engines[0].max_q_err() == engines[1].max_q_err()
 
-    def test_default_backend_drives_kernel_wrappers(self, name):
-        optional_backend(name)
-        set_default_backend(name)
-        matrix = _random_csr(100, 0.1, 3)
-        accelerated = q_color(matrix, n_colors=12)
-        set_default_backend("numpy")
-        reference = q_color(matrix, n_colors=12)
-        np.testing.assert_array_equal(
-            accelerated.coloring.labels, reference.coloring.labels
+
+# ----------------------------------------------------------------------
+# dispatch: every caller runs on the backend it resolved
+# ----------------------------------------------------------------------
+def _churned_dynamic(backend=None):
+    """A karate DynamicColoring after inserts that force repair splits."""
+    from repro.dynamic import DynamicColoring, EdgeUpdate
+    from repro.graphs.generators import karate_club
+
+    dynamic = DynamicColoring(karate_club(), q_tolerance=1.0, backend=backend)
+    for u, v in ((1, 34), (2, 33), (5, 30)):
+        dynamic.apply(EdgeUpdate.insert(u, v, 3.0))
+    return dynamic
+
+
+def _flow_network():
+    from repro.flow.network import FlowNetwork
+    from repro.graphs.digraph import WeightedDiGraph
+
+    generator = np.random.default_rng(4)
+    n = 40
+    src = np.repeat(np.arange(n - 1), 3)
+    dst = np.minimum(src + generator.integers(1, 4, size=src.size), n - 1)
+    weights = generator.integers(1, 9, size=src.size).astype(float)
+    graph = WeightedDiGraph.from_arrays(src, dst, weights)
+    return FlowNetwork(graph, 0, n - 1)
+
+
+class TestDispatch:
+    def test_process_default_reaches_every_caller(self):
+        from repro.core.qerror import max_q_err
+        from repro.pipeline.task import ColoringSpec
+        from repro.solvers.betweenness import betweenness_centrality_csr
+
+        recording = set_default_backend(RecordingBackend())
+        matrix = _random_csr(60, 0.1, 3)
+        engine = Rothko(matrix)
+        assert engine.backend is recording
+        assert ColoringSpec(matrix).resolved_backend() == "recording"
+
+        recording.calls.clear()
+        dynamic = _churned_dynamic()
+        assert dynamic.backend is recording
+        assert dynamic.stats.splits and recording.calls["scatter_add"]
+
+        recording.calls.clear()
+        max_q_err(matrix, engine.run(max_colors=6).coloring)
+        assert recording.calls["grouped_minmax_ordered"] == 2
+
+        recording.calls.clear()
+        betweenness_centrality_csr(matrix, directed=True)
+        assert recording.calls["solve_brandes_batch"] >= 1
+
+    def test_explicit_backend_reaches_every_kernel(self):
+        from repro.flow.mincut import min_cut
+        from repro.flow.network import max_flow
+        from repro.solvers.betweenness import betweenness_centrality_csr
+
+        default = set_default_backend(RecordingBackend())
+        explicit = RecordingBackend()
+        network = _flow_network()
+        cut = min_cut(network, backend=explicit)[0]
+        flow = max_flow(network, algorithm="dinic", backend=explicit)
+        assert cut == pytest.approx(flow.value)
+        betweenness_centrality_csr(
+            _random_csr(60, 0.1, 3), directed=True, backend=explicit
         )
-        assert accelerated.max_q_err == reference.max_q_err
+        _churned_dynamic(backend=explicit)
+        assert sum(default.calls.values()) == 0, dict(default.calls)
+        assert explicit.calls["take_ranges"] > 0
+        assert explicit.calls["solve_blocking_flow"] > 0
+        assert explicit.calls["scatter_add"] > 0
 
 
 # ----------------------------------------------------------------------

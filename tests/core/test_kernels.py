@@ -1,11 +1,15 @@
-"""Unit tests for the shared vectorized kernels."""
+"""Unit tests for the shared vectorized kernels: the plain-numpy helpers
+in ``repro.core.kernels`` and the numpy reference backend's methods."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from repro.core import kernels
+from repro.core.backends.numpy_backend import NumpyBackend
 from repro.core.partition import Coloring
+
+REFERENCE = NumpyBackend()
 
 
 def _random_csr(n, density, seed):
@@ -20,18 +24,18 @@ class TestTakeRanges:
         starts = np.array([0, 10, 5])
         counts = np.array([3, 2, 1])
         np.testing.assert_array_equal(
-            kernels.take_ranges(starts, counts), [0, 1, 2, 10, 11, 5]
+            REFERENCE.take_ranges(starts, counts), [0, 1, 2, 10, 11, 5]
         )
 
     def test_empty_ranges_skipped(self):
         starts = np.array([4, 7, 2])
         counts = np.array([2, 0, 3])
         np.testing.assert_array_equal(
-            kernels.take_ranges(starts, counts), [4, 5, 2, 3, 4]
+            REFERENCE.take_ranges(starts, counts), [4, 5, 2, 3, 4]
         )
 
     def test_all_empty(self):
-        result = kernels.take_ranges(np.array([3, 9]), np.array([0, 0]))
+        result = REFERENCE.take_ranges(np.array([3, 9]), np.array([0, 0]))
         assert result.size == 0
 
     @pytest.mark.parametrize("seed", range(5))
@@ -44,7 +48,7 @@ class TestTakeRanges:
             + [np.empty(0, dtype=np.int64)]
         )
         np.testing.assert_array_equal(
-            kernels.take_ranges(starts, counts), naive
+            REFERENCE.take_ranges(starts, counts), naive
         )
 
 
@@ -54,7 +58,7 @@ class TestScatterSelectSums:
         matrix = _random_csr(20, 0.3, seed)
         csc = matrix.tocsc()
         members = np.array([1, 4, 7, 15])
-        column = kernels.scatter_select_sums(
+        column = REFERENCE.scatter_select_sums(
             csc.indptr, csc.indices, csc.data, members, 20
         )
         np.testing.assert_allclose(
@@ -63,7 +67,7 @@ class TestScatterSelectSums:
 
     def test_empty_selection(self):
         matrix = _random_csr(10, 0.3, 0)
-        column = kernels.scatter_select_sums(
+        column = REFERENCE.scatter_select_sums(
             matrix.indptr,
             matrix.indices,
             matrix.data,
@@ -104,7 +108,9 @@ class TestGroupedMinmax:
             np.empty((0, 0)), np.empty(0, dtype=np.int64), 0
         )
         assert upper.shape == lower.shape == (0, 0)
-        upper, lower = kernels.grouped_minmax_by_members(np.empty((3, 0)), [])
+        upper, lower = REFERENCE.grouped_minmax_ordered(
+            np.empty((3, 0)), *kernels.members_order([])
+        )
         assert upper.shape == lower.shape == (3, 0)
 
     def test_empty_graph_max_q_err(self):
@@ -121,7 +127,9 @@ class TestGroupedMinmax:
         labels[:k] = np.arange(k)  # every class non-empty
         values = generator.standard_normal((r, n))
         members = [np.flatnonzero(labels == c) for c in range(k)]
-        upper_m, lower_m = kernels.grouped_minmax_by_members(values, members)
+        upper_m, lower_m = REFERENCE.grouped_minmax_ordered(
+            values, *kernels.members_order(members)
+        )
         upper_l, lower_l = kernels.grouped_minmax_by_labels(values.T, labels, k)
         np.testing.assert_allclose(upper_m, upper_l.T)
         np.testing.assert_allclose(lower_m, lower_l.T)
@@ -146,12 +154,12 @@ class TestScatterSelectColorSums:
         csc = matrix.tocsc()
         for color in range(coloring.n_colors):
             members = coloring.members(color)
-            row = kernels.scatter_select_color_sums(
+            row = REFERENCE.scatter_select_color_sums(
                 matrix.indptr, matrix.indices, matrix.data,
                 members, coloring.labels, coloring.n_colors,
             )
             np.testing.assert_allclose(row, expected[color], rtol=1e-12)
-            col = kernels.scatter_select_color_sums(
+            col = REFERENCE.scatter_select_color_sums(
                 csc.indptr, csc.indices, csc.data,
                 members, coloring.labels, coloring.n_colors,
             )
@@ -159,7 +167,7 @@ class TestScatterSelectColorSums:
 
     def test_empty_selection(self):
         matrix = sp.csr_matrix(np.eye(3))
-        out = kernels.scatter_select_color_sums(
+        out = REFERENCE.scatter_select_color_sums(
             matrix.indptr, matrix.indices, matrix.data,
             np.empty(0, dtype=np.int64), np.zeros(3, dtype=np.int64), 1,
         )
@@ -168,14 +176,15 @@ class TestScatterSelectColorSums:
 
 class TestScatterAdd:
     def test_accumulates(self):
-        out = kernels.scatter_add(
+        out = REFERENCE.scatter_add(
             np.array([0, 2, 2, 4]), np.array([1.0, 2.0, 3.0, 4.0]), 6
         )
         np.testing.assert_allclose(out, [1.0, 0.0, 5.0, 0.0, 4.0, 0.0])
 
     def test_empty(self):
         np.testing.assert_array_equal(
-            kernels.scatter_add(np.empty(0, int), np.empty(0), 3), np.zeros(3)
+            REFERENCE.scatter_add(np.empty(0, int), np.empty(0), 3),
+            np.zeros(3),
         )
 
 
@@ -190,6 +199,18 @@ class TestAsCsrSquare:
 
 
 class TestColorDegreeSlice:
+    """``color_degree_slice_pair``: layer 0 slices the CSR (out) arrays,
+    layer 1 the CSC (in) arrays."""
+
+    @staticmethod
+    def _pair(matrix, rows, labels, k):
+        csc = matrix.tocsc()
+        return REFERENCE.color_degree_slice_pair(
+            (matrix.indptr, matrix.indices, matrix.data),
+            (csc.indptr, csc.indices, csc.data),
+            rows, labels, k,
+        )
+
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_dense_degree_matrix(self, seed):
         matrix = _random_csr(22, 0.3, seed)
@@ -197,13 +218,11 @@ class TestColorDegreeSlice:
         k = 4
         labels = generator.integers(0, k, size=22)
         rows = np.array([0, 3, 9, 17, 21])
-        slice_out = kernels.color_degree_slice(
-            matrix.indptr, matrix.indices, matrix.data, rows, labels, k
-        )
-        dense = kernels.color_degree_matrix(
-            matrix.indptr, matrix.indices, matrix.data, labels, k
-        )
-        np.testing.assert_allclose(slice_out, dense[rows].T)
+        indicator = np.eye(k)[labels]
+        dense = matrix.toarray()
+        pair = self._pair(matrix, rows, labels, k)
+        np.testing.assert_allclose(pair[0], (dense @ indicator)[rows].T)
+        np.testing.assert_allclose(pair[1], (dense.T @ indicator)[rows].T)
 
     def test_exact_zeros(self):
         """Entries with no contributing edge are exactly 0.0 (the
@@ -212,20 +231,19 @@ class TestColorDegreeSlice:
             np.array([[0.0, 0.3], [0.0, 0.0]])
         )
         labels = np.array([0, 1])
-        block = kernels.color_degree_slice(
-            matrix.indptr, matrix.indices, matrix.data,
-            np.array([0, 1]), labels, 2,
-        )
-        assert block[0, 0] == 0.0 and block[0, 1] == 0.0
-        assert block[1, 0] == 0.3 and block[1, 1] == 0.0
+        block = self._pair(matrix, np.array([0, 1]), labels, 2)
+        assert block[0, 0, 0] == 0.0 and block[0, 0, 1] == 0.0
+        assert block[0, 1, 0] == 0.3 and block[0, 1, 1] == 0.0
+        assert block[1, 0, 0] == 0.0 and block[1, 0, 1] == 0.3
+        assert block[1, 1, 0] == 0.0 and block[1, 1, 1] == 0.0
 
     def test_empty_rows(self):
         matrix = _random_csr(10, 0.3, 1)
-        block = kernels.color_degree_slice(
-            matrix.indptr, matrix.indices, matrix.data,
-            np.empty(0, dtype=np.int64), np.zeros(10, dtype=np.int64), 1,
+        block = self._pair(
+            matrix, np.empty(0, dtype=np.int64),
+            np.zeros(10, dtype=np.int64), 1,
         )
-        assert block.shape == (1, 0)
+        assert block.shape == (2, 1, 0)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_pair_stacks_both_directions(self, seed):
@@ -235,19 +253,15 @@ class TestColorDegreeSlice:
         k = 3
         labels = generator.integers(0, k, size=18)
         rows = np.array([2, 5, 11])
-        pair = kernels.color_degree_slice_pair(
-            (matrix.indptr, matrix.indices, matrix.data),
-            (csc.indptr, csc.indices, csc.data),
-            rows, labels, k,
+        pair = self._pair(matrix, rows, labels, k)
+        d_out = kernels.color_degree_matrix(
+            matrix.indptr, matrix.indices, matrix.data, labels, k
         )
-        out_slice = kernels.color_degree_slice(
-            matrix.indptr, matrix.indices, matrix.data, rows, labels, k
+        d_in = kernels.color_degree_matrix(
+            csc.indptr, csc.indices, csc.data, labels, k
         )
-        in_slice = kernels.color_degree_slice(
-            csc.indptr, csc.indices, csc.data, rows, labels, k
-        )
-        np.testing.assert_allclose(pair[0], out_slice)
-        np.testing.assert_allclose(pair[1], in_slice)
+        np.testing.assert_allclose(pair[0], d_out[rows].T)
+        np.testing.assert_allclose(pair[1], d_in[rows].T)
 
 
 class TestSelectDegreesToward:
@@ -257,7 +271,7 @@ class TestSelectDegreesToward:
         generator = np.random.default_rng(seed)
         labels = generator.integers(0, 3, size=20)
         rows = np.array([1, 6, 13, 19])
-        degrees = kernels.select_degrees_toward(
+        degrees = REFERENCE.select_degrees_toward(
             matrix.indptr, matrix.indices, matrix.data, rows, labels, 2
         )
         dense = matrix.toarray()
@@ -271,7 +285,7 @@ class TestSelectDegreesToward:
         labels = generator.integers(0, 3, size=16)
         rows = np.array([0, 4, 9, 15])
         targets = np.array([2, 0, 1, 2])
-        degrees = kernels.select_degrees_toward(
+        degrees = REFERENCE.select_degrees_toward(
             matrix.indptr, matrix.indices, matrix.data, rows, labels, targets
         )
         dense = matrix.toarray()
@@ -282,7 +296,7 @@ class TestSelectDegreesToward:
     def test_no_matching_edges_exact_zero(self):
         matrix = sp.csr_matrix(np.array([[0.0, 0.5], [0.0, 0.0]]))
         labels = np.array([0, 0])
-        degrees = kernels.select_degrees_toward(
+        degrees = REFERENCE.select_degrees_toward(
             matrix.indptr, matrix.indices, matrix.data,
             np.array([0, 1]), labels, 1,
         )
@@ -290,7 +304,7 @@ class TestSelectDegreesToward:
 
     def test_empty_rows(self):
         matrix = _random_csr(8, 0.3, 0)
-        degrees = kernels.select_degrees_toward(
+        degrees = REFERENCE.select_degrees_toward(
             matrix.indptr, matrix.indices, matrix.data,
             np.empty(0, dtype=np.int64), np.zeros(8, dtype=np.int64), 0,
         )
@@ -306,15 +320,19 @@ class TestMembersOrder:
         members = [np.flatnonzero(labels == c) for c in range(k)]
         values = generator.random((3, n))
         order, starts = kernels.members_order(members)
-        upper, lower = kernels.grouped_minmax_ordered(values, order, starts)
-        upper2, lower2 = kernels.grouped_minmax_by_members(values, members)
-        np.testing.assert_array_equal(upper, upper2)
-        np.testing.assert_array_equal(lower, lower2)
+        upper, lower = REFERENCE.grouped_minmax_ordered(values, order, starts)
+        for color, member in enumerate(members):
+            np.testing.assert_array_equal(
+                upper[:, color], values[:, member].max(axis=1)
+            )
+            np.testing.assert_array_equal(
+                lower[:, color], values[:, member].min(axis=1)
+            )
 
     def test_empty_members(self):
         order, starts = kernels.members_order([])
         assert order.size == 0 and starts.size == 0
-        upper, lower = kernels.grouped_minmax_ordered(
+        upper, lower = REFERENCE.grouped_minmax_ordered(
             np.zeros((2, 0)), order, starts
         )
         assert upper.shape == (2, 0) and lower.shape == (2, 0)

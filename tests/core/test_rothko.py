@@ -37,6 +37,22 @@ class TestCoerceAdjacency:
         with pytest.raises(TypeError):
             coerce_adjacency("not a graph")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_weights_rejected(self, bad):
+        dense = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, bad], [1.0, 0.0, 0.0]])
+        for graph in (dense, sp.csr_matrix(dense), sp.coo_matrix(dense)):
+            with pytest.raises(ColoringError, match="finite"):
+                coerce_adjacency(graph)
+        with pytest.raises(ColoringError, match="finite"):
+            q_color(sp.csr_matrix(dense), n_colors=2)
+
+    def test_readonly_snapshot_not_scanned(self):
+        # memmapped stores arrive read-only; scanning them would page the
+        # whole edge file in, so only writeable data is checked here
+        matrix = sp.csr_matrix(np.array([[0.0, np.nan], [1.0, 0.0]]))
+        matrix.data.flags.writeable = False
+        assert coerce_adjacency(matrix) is matrix
+
 
 class TestQColorKarate:
     """The paper's headline example (Fig. 1)."""

@@ -2,13 +2,21 @@
 
 import pytest
 
-from repro.exceptions import FlowError
+from repro.exceptions import FlowError, GraphError
 from repro.flow.network import (
     FlowNetwork,
     FlowResult,
     validate_flow,
 )
 from repro.graphs.digraph import WeightedDiGraph
+from repro.graphs.edgestore import ingest_arrays
+
+
+def _store_graph(tmp_path, src, dst, weights):
+    """A graph over an edge store: the entry path that does not scan
+    weights for NaN/inf."""
+    store = ingest_arrays(tmp_path / "store", src, dst, weights)
+    return WeightedDiGraph.from_edgestore(store)
 
 
 @pytest.fixture
@@ -45,21 +53,24 @@ class TestFlowNetwork:
         with pytest.raises(FlowError):
             FlowNetwork(graph, 0, 1)
 
-    def test_nan_capacity(self):
+    def test_nan_capacity(self, tmp_path):
         # NaN passes a plain ``< 0`` check; a NaN arc on the only path
-        # used to give a silent max-flow and min-cut of 0.0.
-        graph = WeightedDiGraph(directed=True)
-        graph.add_edge(0, 1, float("nan"))
-        graph.add_edge(1, 2, 1.0)
+        # used to give a silent max-flow and min-cut of 0.0.  Resident
+        # graphs refuse it at add_edge; edge stores are not scanned, so
+        # the network is built over one.
+        with pytest.raises(GraphError, match="finite"):
+            WeightedDiGraph(directed=True).add_edge(0, 1, float("nan"))
+        graph = _store_graph(tmp_path, [0, 1], [1, 2], [float("nan"), 1.0])
         with pytest.raises(FlowError, match="finite"):
             FlowNetwork(graph, 0, 2)
 
-    def test_infinite_capacity(self):
+    def test_infinite_capacity(self, tmp_path):
         # An all-inf path used to solve to inf (inf - inf in the flow
         # extraction along the way).
-        graph = WeightedDiGraph(directed=True)
-        graph.add_edge(0, 1, float("inf"))
-        graph.add_edge(1, 2, float("inf"))
+        inf = float("inf")
+        with pytest.raises(GraphError, match="finite"):
+            WeightedDiGraph(directed=True).add_edge(0, 1, inf)
+        graph = _store_graph(tmp_path, [0, 1], [1, 2], [inf, inf])
         with pytest.raises(FlowError, match="finite"):
             FlowNetwork(graph, 0, 2)
 

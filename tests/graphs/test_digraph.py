@@ -188,6 +188,32 @@ class TestConversions:
         assert und.weight(0, 1) == 2.0
 
 
+class TestNonFiniteWeights:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_from_arrays_rejects(self, bad):
+        message = r"arc 1: 1 -> 2: weight .* not finite"
+        with pytest.raises(GraphError, match=message):
+            WeightedDiGraph.from_arrays(
+                np.array([0, 1]), np.array([1, 2]), np.array([1.0, bad])
+            )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_add_edge_rejects(self, bad):
+        graph = WeightedDiGraph()
+        with pytest.raises(GraphError, match="not finite"):
+            graph.add_edge(0, 1, bad)
+        assert graph.n_edges == 0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_from_scipy_and_edges_reject(self, bad):
+        with pytest.raises(GraphError, match="not finite"):
+            WeightedDiGraph.from_scipy(
+                sp.csr_matrix(np.array([[0.0, bad], [1.0, 0.0]]))
+            )
+        with pytest.raises(GraphError, match="not finite"):
+            WeightedDiGraph.from_weighted_edges([(0, 1, 1.0), (1, 0, bad)])
+
+
 class TestFromArrays:
     def test_directed_equals_from_edges(self):
         edges = [(0, 1), (1, 2), (2, 0), (0, 3)]

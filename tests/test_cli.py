@@ -16,10 +16,12 @@ def karate_file(tmp_path):
 
 @pytest.fixture(autouse=True)
 def _reset_backend_default():
-    # `--backend` installs a process default; undo it between tests
-    yield
+    # `--backend` installs a process default and the REPRO_BACKEND check
+    # goes through the cached default: start and end every test fresh
     from repro.core.backends import set_default_backend
 
+    set_default_backend(None)
+    yield
     set_default_backend(None)
 
 
