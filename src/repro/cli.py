@@ -72,7 +72,7 @@ TABLE_CHOICES = (
 def _cmd_ingest(args: argparse.Namespace) -> int:
     import time
 
-    from repro.exceptions import GraphError
+    from repro.exceptions import StoreError
     from repro.graphs import edgestore
 
     if (args.edgelist is None) == (args.synthetic is None):
@@ -108,7 +108,10 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
                 overwrite=args.overwrite,
                 resume=args.resume,
             )
-    except (GraphError, OSError) as exc:
+    except (StoreError, OSError) as exc:
+        # Store-path and resume problems exit with their message; invalid
+        # input (endpoints, NaN/inf weights, malformed lines) reaches
+        # main()'s mapping: one line on stderr, exit 2.
         raise SystemExit(str(exc)) from exc
     rows = [
         {

@@ -8,20 +8,28 @@ scratch:
 
 1. **Patch** — an arc change ``u -> v`` with weight delta ``d`` only
    moves ``D_out[u, color(v)]`` and ``D_in[v, color(u)]``; both degree
-   matrices are maintained incrementally in ``O(1)`` per arc event.
+   matrices are maintained incrementally in ``O(1)`` per arc event, and
+   the block ``(color(u), color(v))`` of the ``k x k`` boundary matrices
+   ``U``/``L`` (Rothko's layout: per color pair, the max/min block
+   degree) is marked stale, to be rescanned in ``O(|P|)`` before the
+   next read.
 2. **Re-check** — only the touched color pair ``(color(u), color(v))``
    can newly violate the tolerance; untouched pairs keep their old block
    degrees, so the maintained invariant (max q-error <= tolerance) needs
-   re-verification on a handful of pairs, not ``k^2``.
+   re-verification on a handful of pairs, not ``k^2`` — each an ``O(1)``
+   ``U``/``L`` lookup.
 3. **Repair** — a violated pair re-enters the Rothko split rule
    (:func:`repro.core.rothko.split_eject_mask`) locally: the witnessing
    color is split, the two affected degree columns are rebuilt from the
-   graph in ``O(nnz(column))``, and every pair involving a changed color
-   is re-queued until the invariant holds again.
+   graph in ``O(nnz(column))``, the split colors' ``U``/``L`` rows and
+   columns are refreshed in ``O(|P| k + n)``, and every pair involving a
+   changed color is re-queued until the invariant holds again.
 4. **Coarsen** — deletions can make colors mergeable again; repair ends
    with a bounded pass that merges color pairs whose join keeps every
    affected block within tolerance (the lattice direction Rothko never
-   takes).
+   takes).  An ``O(k)`` pre-test on the two colors' ``U``/``L`` rows
+   rejects most candidates; only the survivors pay the ``O(n)`` test of
+   the merged degree column.
 5. **Rebuild** — when accumulated churn or color drift exceeds a
    configurable budget, fall back to a full Rothko recoloring and adopt
    its state wholesale; local repair resumes from there.
@@ -45,6 +53,7 @@ from repro.core.backends import Backend, resolve_backend
 from repro.core.kernels import (
     color_degree_matrices,
     grouped_minmax_by_labels,
+    members_order,
     relative_spread,
 )
 from repro.core.partition import Coloring
@@ -56,6 +65,9 @@ from repro.graphs.digraph import WeightedDiGraph
 
 #: float slack for tolerance comparisons on incrementally-patched sums
 _EPS = 1e-9
+#: degree columns reduced per pass when the U/L state is built (bounds
+#: the transient to ``2 * _COLUMN_CHUNK * n`` floats)
+_COLUMN_CHUNK = 32
 
 
 @dataclass
@@ -131,7 +143,8 @@ class DynamicColoring:
         n_arcs``, or when repair has grown the color count more than
         ``drift_budget`` (relative) above the last rebuild's count.
     merge_attempts:
-        Cap on coarsening tests per repair pass (each is ``O(n + |P| k)``).
+        Cap on coarsening tests per repair pass (each an ``O(k)``
+        pre-test, plus ``O(n)`` for the candidates that pass it).
     attach:
         Subscribe to the graph's mutation hooks so direct ``add_edge`` /
         ``remove_edge`` calls are tracked too.  Use :meth:`detach` (or a
@@ -181,6 +194,8 @@ class DynamicColoring:
         self.n = graph.n_nodes
         self._pins = self._build_pins(coloring, frozen)
         self._dirty: set[tuple[int, int]] = set()
+        #: (color(u), color(v)) blocks whose U/L entries await a rescan
+        self._stale: set[tuple[int, int]] = set()
         self._merge_candidates: set[int] = set()
         self._pending = False
         self._churn = 0
@@ -247,12 +262,13 @@ class DynamicColoring:
 
     def _adopt(self, engine: Rothko) -> None:
         """Take over a static engine's labels and members, then build the
-        dense degree matrices from the graph.
+        dense degree matrices and their ``U``/``L`` boundaries.
 
         The memory-flat static engine keeps no degree matrices at all;
         this engine patches per-node entries on every arc event, so it
         rebuilds its own node-major ``n x k`` storage with one ``O(m)``
-        bincount pass over the CSR/CSC snapshots.
+        bincount pass over the CSR/CSC snapshots, and reduces it per
+        color into the ``k x k`` boundary matrices.
         """
         self.k = engine.k
         self._labels_buf = engine.labels.copy()
@@ -260,12 +276,22 @@ class DynamicColoring:
         capacity = max(16, 2 * self.k)
         self._d_out = np.zeros((engine.n, capacity), dtype=np.float64)
         self._d_in = np.zeros((engine.n, capacity), dtype=np.float64)
-        d_out, d_in = color_degree_matrices(
-            self.graph.to_csr(), self._labels_buf, self.k
+        self._d_out[:, : self.k], self._d_in[:, : self.k] = (
+            color_degree_matrices(self.graph.to_csr(), self._labels_buf, self.k)
         )
-        self._d_out[:, : self.k] = d_out
-        self._d_in[:, : self.k] = d_in
         self._row_capacity = engine.n
+        # Boundary matrices in Rothko's orientation: row = the node's
+        # color, column = the color the degree points at.  The error
+        # matrices are derived from them on demand.
+        self._u_out = np.zeros((capacity, capacity), dtype=np.float64)
+        self._l_out = np.zeros((capacity, capacity), dtype=np.float64)
+        self._u_in = np.zeros((capacity, capacity), dtype=np.float64)
+        self._l_in = np.zeros((capacity, capacity), dtype=np.float64)
+        for start in range(0, self.k, _COLUMN_CHUNK):
+            self._refresh_boundary_cols(
+                range(start, min(start + _COLUMN_CHUNK, self.k))
+            )
+        self._n_arcs = self.graph.n_arcs
         self._color_pin = [
             int(self._pins.labels[int(members[0])]) if members.size else -1
             for members in self._members
@@ -273,6 +299,7 @@ class DynamicColoring:
         self._baseline_k = self.k
         self._churn = 0
         self._dirty.clear()
+        self._stale.clear()
         self._merge_candidates.clear()
         self._pending = False
 
@@ -331,6 +358,11 @@ class DynamicColoring:
         self._d_out[ui, cv] += delta
         self._d_in[vi, cu] += delta
         self._dirty.add((cu, cv))
+        self._stale.add((cu, cv))
+        if old == 0.0:
+            self._n_arcs += 1
+        elif new == 0.0:
+            self._n_arcs -= 1
         if delta < 0:
             # Deletions create coarsening opportunities.
             self._merge_candidates.update((cu, cv))
@@ -376,13 +408,14 @@ class DynamicColoring:
 
     def max_q_err(self) -> float:
         """Current max (absolute or relative) error from the maintained
-        degree matrices — ``O(n k)``, no graph traversal."""
+        ``U``/``L`` boundary matrices — ``O(k^2)`` once the stale blocks
+        are rescanned, no graph traversal."""
         if self.k == 0 or self.n == 0:
             return 0.0
-        upper_out, lower_out = self._grouped_minmax(self._d_out[: self.n, : self.k])
-        upper_in, lower_in = self._grouped_minmax(self._d_in[: self.n, : self.k])
-        out_err = self._spread(upper_out, lower_out)
-        in_err = self._spread(upper_in, lower_in)
+        self._flush_stale()
+        k = self.k
+        out_err = self._spread(self._u_out[:k, :k], self._l_out[:k, :k])
+        in_err = self._spread(self._u_in[:k, :k], self._l_in[:k, :k])
         return float(max(out_err.max(initial=0.0), in_err.max(initial=0.0)))
 
     def repair(self) -> DynamicStats:
@@ -391,7 +424,7 @@ class DynamicColoring:
             return self.stats
         start = time.perf_counter()
         self.stats.repair_passes += 1
-        if self._churn > self.drift_budget * max(self.graph.n_arcs, 16):
+        if self._churn > self.drift_budget * max(self._n_arcs, 16):
             self._rebuild()
         else:
             hit_cap = self._local_repair()
@@ -412,23 +445,18 @@ class DynamicColoring:
             return upper - lower
         return relative_spread(upper, lower)
 
-    def _pair_spread(self, values: np.ndarray) -> float:
-        if values.size == 0:
-            return 0.0
-        upper = float(values.max())
-        lower = float(values.min())
-        return float(
-            self._spread(np.array([upper]), np.array([lower]))[0]
-        )
-
-    def _grouped_minmax(
-        self, values: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        return grouped_minmax_by_labels(values, self.labels, self.k)
+    def _block_err(
+        self, upper: np.ndarray, lower: np.ndarray, i: int, j: int
+    ) -> float:
+        """Error of one block, read from a boundary matrix pair."""
+        if self.error_mode == "absolute":
+            return float(upper[i, j] - lower[i, j])
+        return float(relative_spread(upper[i : i + 1, j], lower[i : i + 1, j])[0])
 
     def _local_repair(self) -> bool:
         """Drain the dirty-pair worklist; returns True when the color cap
         stopped repair before the invariant was restored."""
+        self._flush_stale()
         worklist = list(self._dirty)
         queued = set(self._dirty)
         self._dirty.clear()
@@ -440,19 +468,19 @@ class DynamicColoring:
             i, j = pair
             self.stats.pairs_checked += 1
             # Outgoing direction: spread of w(x, P_j) over x in P_i.
-            out_values = self._d_out[self._members[i], j]
-            if self._pair_spread(out_values) > tolerance:
+            if self._block_err(self._u_out, self._l_out, i, j) > tolerance:
                 if self.k >= cap:
                     return True
                 # A pinned color refuses the split (best-effort there);
                 # the in-direction below may still be repairable.
+                out_values = self._d_out[self._members[i], j]
                 self._split_color(i, out_values, worklist, queued)
-            # Membership of i may have changed; derive the in-direction
-            # values from the updated members.
-            in_values = self._d_in[self._members[j], i]
-            if self._pair_spread(in_values) > tolerance:
+            # A split of i refreshed its U/L rows and columns, so the
+            # in-direction reads the updated state.
+            if self._block_err(self._u_in, self._l_in, j, i) > tolerance:
                 if self.k >= cap:
                     return True
+                in_values = self._d_in[self._members[j], i]
                 self._split_color(j, in_values, worklist, queued)
         return False
 
@@ -481,6 +509,8 @@ class DynamicColoring:
         n = self.n
         self._d_out[:n, color] -= self._d_out[:n, new_color]
         self._d_in[:n, color] -= self._d_in[:n, new_color]
+        self._refresh_boundary_rows((color, new_color))
+        self._refresh_boundary_cols((color, new_color))
         self.stats.splits += 1
         _obs._active.count("dynamic.updates.split")
         self._mark_color_pairs((color, new_color), worklist, queued)
@@ -506,7 +536,57 @@ class DynamicColoring:
         n = self.n
         self._d_out[:n, color] = 0.0
         self._d_in[:n, color] = 0.0
+        for matrix in (self._u_out, self._l_out, self._u_in, self._l_in):
+            matrix[color, : color + 1] = 0.0
+            matrix[: color + 1, color] = 0.0
         return color
+
+    # ------------------------------------------------------------------
+    # U/L boundary state
+    # ------------------------------------------------------------------
+    def _refresh_boundary_rows(self, colors: Iterable[int]) -> None:
+        """Recompute the ``U``/``L`` rows of ``colors`` from their members'
+        degree rows — ``O(|P_c| k)`` each."""
+        k = self.k
+        for color in colors:
+            rows = self._members[color]
+            out_block = self._d_out[rows, :k]
+            in_block = self._d_in[rows, :k]
+            self._u_out[color, :k] = out_block.max(axis=0)
+            self._l_out[color, :k] = out_block.min(axis=0)
+            self._u_in[color, :k] = in_block.max(axis=0)
+            self._l_in[color, :k] = in_block.min(axis=0)
+
+    def _refresh_boundary_cols(self, colors: Iterable[int]) -> None:
+        """Recompute the ``U``/``L`` columns of ``colors``: every color's
+        max/min over those degree columns, reduced along the concatenated
+        member lists (``O(n)`` per column, no argsort)."""
+        cols = list(colors)
+        if not cols:
+            return
+        n, k, r = self.n, self.k, len(cols)
+        order, starts = members_order(self._members)
+        values = np.concatenate(
+            [self._d_out[:n, cols].T, self._d_in[:n, cols].T]
+        )
+        upper, lower = self.backend.grouped_minmax_ordered(values, order, starts)
+        self._u_out[:k, cols] = upper[:r].T
+        self._l_out[:k, cols] = lower[:r].T
+        self._u_in[:k, cols] = upper[r:].T
+        self._l_in[:k, cols] = lower[r:].T
+
+    def _flush_stale(self) -> None:
+        """Rescan the blocks arc events touched since the last flush:
+        ``U_out/L_out[c(u), c(v)]`` over ``P_c(u)`` and
+        ``U_in/L_in[c(v), c(u)]`` over ``P_c(v)``."""
+        for cu, cv in self._stale:
+            out_values = self._d_out[self._members[cu], cv]
+            self._u_out[cu, cv] = out_values.max()
+            self._l_out[cu, cv] = out_values.min()
+            in_values = self._d_in[self._members[cv], cu]
+            self._u_in[cv, cu] = in_values.max()
+            self._l_in[cv, cu] = in_values.min()
+        self._stale.clear()
 
     def _refresh_color(self, color: int) -> None:
         """Rebuild both degree columns for one color from the live graph.
@@ -555,6 +635,8 @@ class DynamicColoring:
     # ------------------------------------------------------------------
     def _coarsen(self) -> None:
         attempts = 0
+        full_tests = 0
+        tolerance = self.q_tolerance + _EPS
         merged_any = True
         while merged_any and attempts < self.merge_attempts:
             merged_any = False
@@ -568,62 +650,92 @@ class DynamicColoring:
                     attempts += 1
                     self.stats.merge_tests += 1
                     lo, hi = (a, b) if a < b else (b, a)
-                    if self._merge_error(lo, hi) <= self.q_tolerance + _EPS:
-                        self._merge(lo, hi)
-                        self.stats.merges += 1
-                        _obs._active.count("dynamic.updates.merge")
-                        merged_any = True
-                        break
+                    if self._merge_pretest(lo, hi) <= tolerance:
+                        full_tests += 1
+                        if self._merge_error(lo, hi) <= tolerance:
+                            self._merge(lo, hi)
+                            self.stats.merges += 1
+                            _obs._active.count("dynamic.updates.merge")
+                            merged_any = True
+                            break
                     if attempts >= self.merge_attempts:
                         break
                 if merged_any or attempts >= self.merge_attempts:
                     break
         self._merge_candidates.clear()
+        if attempts:
+            _obs._active.count("dynamic.merge.candidates", attempts)
+            _obs._active.count("dynamic.merge.full_tests", full_tests)
+
+    def _merge_pretest(self, a: int, b: int) -> float:
+        """Max error of the merged class against every color other than
+        ``a`` and ``b`` — ``O(k)`` from the two colors' ``U``/``L`` rows.
+
+        Those blocks' degrees do not change under the merge, so their
+        max/min over ``P_a + P_b`` is the max/min of the two rows.  The
+        merge's error is the larger of this and :meth:`_merge_error`, so a
+        pre-test above tolerance rejects exactly as the full test would.
+        """
+        k = self.k
+        worst = 0.0
+        for upper, lower in (
+            (self._u_out, self._l_out),
+            (self._u_in, self._l_in),
+        ):
+            err = self._spread(
+                np.maximum(upper[a, :k], upper[b, :k]),
+                np.minimum(lower[a, :k], lower[b, :k]),
+            )
+            err[a] = err[b] = 0.0
+            worst = max(worst, float(err.max()))
+        return worst
 
     def _merge_error(self, a: int, b: int) -> float:
-        """Max error among the pairs a merge of ``a`` and ``b`` affects.
+        """Max error among the merged-column blocks of a merge of ``a``
+        and ``b`` — ``O(n)``.
 
-        All other pairs keep their exact block degrees, so the merged
-        coloring is within tolerance iff this value is.
+        Together with :meth:`_merge_pretest` this covers every pair the
+        merge affects; all other pairs keep their exact block degrees, so
+        the merged coloring is within tolerance iff both values are.
         """
-        n, k = self.n, self.k
+        n = self.n
         rows = np.concatenate([self._members[a], self._members[b]])
-        merged_out = self._d_out[:n, a] + self._d_out[:n, b]
-        merged_in = self._d_in[:n, a] + self._d_in[:n, b]
-
-        # Row blocks: the merged class against every color (merged column
-        # substituted in place of a, column b dropped).
-        out_block = self._d_out[rows][:, :k]
-        in_block = self._d_in[rows][:, :k]
-        out_block[:, a] = merged_out[rows]
-        in_block[:, a] = merged_in[rows]
-        keep = np.arange(k) != b
-        out_block = out_block[:, keep]
-        in_block = in_block[:, keep]
-        row_err = max(
-            float(self._spread(out_block.max(axis=0), out_block.min(axis=0)).max()),
-            float(self._spread(in_block.max(axis=0), in_block.min(axis=0)).max()),
+        merged = np.stack(
+            [
+                self._d_out[:n, a] + self._d_out[:n, b],
+                self._d_in[:n, a] + self._d_in[:n, b],
+            ]
         )
-
+        # The merged class against the merged column.
+        merged_rows = merged[:, rows]
+        row_err = float(
+            self._spread(merged_rows.max(axis=1), merged_rows.min(axis=1)).max()
+        )
         # Column direction: every class's spread over the merged column.
         # (Classes a and b appear as subsets of the merged class here;
-        # their spread is dominated by the row-block check above.)
-        upper_out, lower_out = self._grouped_minmax(merged_out)
-        upper_in, lower_in = self._grouped_minmax(merged_in)
-        col_err = max(
-            float(self._spread(upper_out, lower_out).max()),
-            float(self._spread(upper_in, lower_in).max()),
-        )
+        # their spread is dominated by the row check above.)
+        order, starts = members_order(self._members)
+        upper, lower = self.backend.grouped_minmax_ordered(merged, order, starts)
+        col_err = float(self._spread(upper, lower).max())
         return max(row_err, col_err)
 
     def _merge(self, a: int, b: int) -> None:
         """Merge color ``b`` into ``a`` (the lattice join of the pairing)."""
-        n = self.n
+        n, k = self.n, self.k
         self._labels_buf[self._members[b]] = a
         self._members[a] = np.concatenate([self._members[a], self._members[b]])
         self._d_out[:n, a] += self._d_out[:n, b]
         self._d_in[:n, a] += self._d_in[:n, b]
+        # Row a over the unchanged columns is the join of rows a and b;
+        # column a is recomputed below, column b leaves with the color.
+        for upper, lower in (
+            (self._u_out, self._l_out),
+            (self._u_in, self._l_in),
+        ):
+            np.maximum(upper[a, :k], upper[b, :k], out=upper[a, :k])
+            np.minimum(lower[a, :k], lower[b, :k], out=lower[a, :k])
         self._swap_remove(b)
+        self._refresh_boundary_cols((a,))
 
     def _swap_remove(self, color: int) -> None:
         """Drop ``color`` keeping ids contiguous (move the last id down)."""
@@ -634,6 +746,9 @@ class DynamicColoring:
             self._members[color] = self._members[last]
             self._d_out[:n, color] = self._d_out[:n, last]
             self._d_in[:n, color] = self._d_in[:n, last]
+            for matrix in (self._u_out, self._l_out, self._u_in, self._l_in):
+                matrix[color, : last + 1] = matrix[last, : last + 1]
+                matrix[: last + 1, color] = matrix[: last + 1, last]
             self._color_pin[color] = self._color_pin[last]
             if last in self._merge_candidates:
                 self._merge_candidates.discard(last)
@@ -660,6 +775,11 @@ class DynamicColoring:
             old = getattr(self, name)
             grown = np.zeros((self._row_capacity, new_capacity), dtype=np.float64)
             grown[:, :capacity] = old
+            setattr(self, name, grown)
+        for name in ("_u_out", "_l_out", "_u_in", "_l_in"):
+            old = getattr(self, name)
+            grown = np.zeros((new_capacity, new_capacity), dtype=np.float64)
+            grown[:capacity, :capacity] = old
             setattr(self, name, grown)
 
     def _grow_rows(self, needed: int) -> None:
@@ -693,10 +813,12 @@ class DynamicColoring:
     # diagnostics
     # ------------------------------------------------------------------
     def verify_consistency(self, atol: float = 1e-6) -> None:
-        """Recompute the degree matrices from the graph and compare.
+        """Recompute the degree matrices, their ``U``/``L`` boundaries and
+        the arc count from the graph and compare.
 
         Raises :class:`ColoringError` on divergence — used by tests to
-        certify the incremental patches against ground truth.
+        certify the incremental patches against ground truth.  Stale
+        blocks are rescanned first, as every read does.
         """
         n, k = self.n, self.k
         labels = self.labels
@@ -711,6 +833,22 @@ class DynamicColoring:
             raise ColoringError("maintained D_out diverged from the graph")
         if not np.allclose(self._d_in[:n, :k], d_in, atol=atol):
             raise ColoringError("maintained D_in diverged from the graph")
+        self._flush_stale()
+        u_out, l_out = grouped_minmax_by_labels(d_out, labels, k)
+        u_in, l_in = grouped_minmax_by_labels(d_in, labels, k)
+        for name, maintained, scratch in (
+            ("U_out", self._u_out, u_out),
+            ("L_out", self._l_out, l_out),
+            ("U_in", self._u_in, u_in),
+            ("L_in", self._l_in, l_in),
+        ):
+            if not np.allclose(maintained[:k, :k], scratch, atol=atol):
+                raise ColoringError(f"maintained {name} diverged from the graph")
+        if self._n_arcs != self.graph.n_arcs:
+            raise ColoringError(
+                f"maintained arc count {self._n_arcs} != graph's "
+                f"{self.graph.n_arcs}"
+            )
 
     def __repr__(self) -> str:
         return (

@@ -85,6 +85,8 @@ DEFAULT_CHUNK_ARCS = 8_000_000
 #: arcs loaded per run per merge refill (doubled on demand when a single
 #: duplicate key group outgrows it)
 _MERGE_BLOCK = 1 << 20
+#: weights scanned per step when :func:`verify_store` looks for NaN/inf
+_FINITE_SCAN_CHUNK = 1 << 20
 
 _MAGIC = b"\x93NUMPY\x01\x00"
 _INT32_MAX = np.iinfo(np.int32).max
@@ -449,7 +451,11 @@ class EdgeStoreWriter:
         dst: Any,
         weight: Any | None = None,
     ) -> None:
-        """Append parallel arc arrays (chunk of the edge list)."""
+        """Append parallel arc arrays (chunk of the edge list).
+
+        Raises :class:`GraphError` naming the first offending arc when an
+        endpoint is out of range or a weight is NaN or infinite.
+        """
         if self._closed:
             raise GraphError("edge store writer is already finalized")
         src = coerce_index_array(src, "src")
@@ -484,7 +490,7 @@ class EdgeStoreWriter:
                 )
             self._replay_remaining -= src.size
             return
-        self._validate(src, dst)
+        self._validate(src, dst, weight)
         self._appended += src.size
         if not self.directed:
             off = src != dst
@@ -502,7 +508,16 @@ class EdgeStoreWriter:
         if self._buffered >= self.chunk_arcs:
             self._flush_run()
 
-    def _validate(self, src: np.ndarray, dst: np.ndarray) -> None:
+    def _validate(
+        self, src: np.ndarray, dst: np.ndarray, weight: np.ndarray
+    ) -> None:
+        finite = np.isfinite(weight)
+        if not finite.all():
+            arc = int(np.flatnonzero(~finite)[0])
+            raise GraphError(
+                f"arc {self._appended + arc}: {src[arc]} -> {dst[arc]} "
+                f"has weight {weight[arc]}, which is not finite"
+            )
         n = self.declared_n
         low = min(int(src.min()), int(dst.min()))
         high = max(int(src.max()), int(dst.max()))
@@ -838,7 +853,8 @@ def verify_store(path: Any) -> dict:
     Checks, cheapest first: the metadata parses and names this format;
     all seven arrays are present, load as ``.npy``, and have the
     lengths the metadata implies; both indptr arrays are monotone with
-    the right endpoints; and every file's crc32 matches the checksum
+    the right endpoints; both weight arrays hold only finite values;
+    and every file's crc32 matches the checksum
     recorded at ingest.  Returns a report dict (``path``, ``n_nodes``,
     ``n_arcs``, ``checked`` file names, ``checksums_verified``) on
     success.  Stores written before checksums existed verify
@@ -894,6 +910,19 @@ def verify_store(path: Any) -> dict:
             )
         elif indptr.size > 1 and bool(np.any(np.diff(indptr) < 0)):
             problems.append(f"{stem}.npy: offsets are not monotone")
+    for stem in ("weight", "csc_data"):
+        weights = arrays.get(stem)
+        if weights is None:
+            continue
+        for begin in range(0, weights.size, _FINITE_SCAN_CHUNK):
+            chunk = weights[begin : begin + _FINITE_SCAN_CHUNK]
+            bad = np.flatnonzero(~np.isfinite(chunk))
+            if bad.size:
+                problems.append(
+                    f"{stem}.npy: entry {begin + int(bad[0])} holds "
+                    f"non-finite weight {chunk[bad[0]]}"
+                )
+                break
     arrays.clear()
     checksums = store.meta.get("checksums") or {}
     for name, recorded in sorted(checksums.items()):

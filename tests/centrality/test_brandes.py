@@ -139,15 +139,14 @@ class TestWeightedBetweenness:
     def test_nonpositive_weight_rejected(self, tmp_path):
         # NaN compares False against any bound, so it must not slip past
         # the guard and come back as all-zero scores.  Resident graphs
-        # refuse NaN/inf at add_edge; edge stores are not scanned, so
-        # those weights reach the guard through one.
-        from repro.graphs.edgestore import ingest_arrays
+        # and ingest refuse NaN/inf, so those weights reach the guard
+        # through a store corrupted after ingest.
+        from tests.conftest import store_graph_with_weights
 
         for index, weight in enumerate((-1.0, float("nan"), float("inf"))):
-            store = ingest_arrays(
+            graph = store_graph_with_weights(
                 tmp_path / f"store{index}", [0, 1], [1, 2], [1.0, weight]
             )
-            graph = WeightedDiGraph.from_edgestore(store)
             with pytest.raises(ValueError, match="positive finite"):
                 betweenness_centrality(graph, weighted=True)
 

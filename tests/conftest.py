@@ -51,3 +51,29 @@ def random_adjacency(
         else np.ones((n, n))
     )
     return sp.csr_matrix(np.where(mask, weights, 0.0))
+
+
+def store_graph_with_weights(path, src, dst, weights) -> WeightedDiGraph:
+    """A memmapped graph over an edge store whose weights may be NaN/inf.
+
+    Ingest refuses non-finite weights, so the store is written with unit
+    weights and the requested ones are patched into its CSR and CSC
+    weight files afterwards — the state of a store corrupted on disk.
+    """
+    from repro.graphs.edgestore import ingest_arrays
+
+    store = ingest_arrays(path, src, dst)
+    csr_src = np.load(store.path / "src.npy")
+    csr_dst = np.load(store.path / "dst.npy")
+    csc_indptr = np.load(store.path / "csc_indptr.npy")
+    csc_indices = np.load(store.path / "csc_indices.npy")
+    csr_weight = np.load(store.path / "weight.npy", mmap_mode="r+")
+    csc_weight = np.load(store.path / "csc_data.npy", mmap_mode="r+")
+    for u, v, w in zip(src, dst, weights):
+        csr_weight[(csr_src == u) & (csr_dst == v)] = w
+        begin, end = csc_indptr[v], csc_indptr[v + 1]
+        csc_weight[begin + np.flatnonzero(csc_indices[begin:end] == u)] = w
+    csr_weight.flush()
+    csc_weight.flush()
+    del csr_weight, csc_weight
+    return WeightedDiGraph.from_edgestore(store)

@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.core.kernels import relative_spread
 from repro.core.partition import Coloring
-from repro.core.qerror import max_q_err
+from repro.core.qerror import color_degree_matrices, grouped_minmax, max_q_err
 from repro.core.rothko import q_color
+from repro.datasets import load_graph
+from repro.datasets.churn import churn_scenario
 from repro.dynamic import DynamicColoring, EdgeUpdate
 from repro.exceptions import ColoringError
 from repro.graphs.digraph import WeightedDiGraph
@@ -293,3 +296,117 @@ class TestStats:
     def test_repr(self, karate):
         dynamic = DynamicColoring(karate, q_tolerance=3.0)
         assert "DynamicColoring" in repr(dynamic)
+
+
+def _reference_error(dynamic) -> float:
+    """Max error of the engine's current labels, recounted from the graph."""
+    csr = dynamic.graph.to_csr()
+    coloring = Coloring(dynamic.labels.copy())
+    if dynamic.error_mode == "absolute":
+        return max_q_err(csr, coloring)
+    worst = 0.0
+    for degrees in color_degree_matrices(csr, coloring):
+        upper, lower = grouped_minmax(degrees, coloring)
+        worst = max(worst, float(relative_spread(upper, lower).max()))
+    return worst
+
+
+def _assert_read_matches(dynamic) -> None:
+    assert dynamic.max_q_err() == pytest.approx(_reference_error(dynamic), abs=1e-9)
+
+
+class TestBoundaryState:
+    """The k x k U/L state serves every read exactly as a recount would."""
+
+    @pytest.mark.parametrize("mode,tolerance", [("absolute", 2.0), ("relative", 0.7)])
+    def test_read_matches_recount_after_every_update(
+        self, karate, mode, tolerance
+    ):
+        dynamic = DynamicColoring(karate, q_tolerance=tolerance, error_mode=mode)
+        for update in _random_updates(karate, 40, seed=17, weights=(1.0, 2.0)):
+            dynamic.apply(update)
+            _assert_read_matches(dynamic)
+        assert dynamic.stats.splits and dynamic.stats.merges
+        dynamic.verify_consistency()
+
+    def test_direct_mutation_read_before_and_after_repair(self, karate):
+        """Reads between a direct mutation and the next repair go through
+        the stale-block flush."""
+        dynamic = DynamicColoring(karate, q_tolerance=2.0)
+        labels = karate.labels()
+        edges = [(u, v) for u, v, _ in karate.edges()]
+        for step in range(12):
+            if step % 3 == 2:
+                karate.remove_edge(*edges[step])
+            else:
+                karate.add_edge(labels[step], labels[33 - step], 1.0 + step % 3)
+            _assert_read_matches(dynamic)  # pending: stale blocks flushed
+            dynamic.repair()
+            _assert_read_matches(dynamic)
+        dynamic.verify_consistency()
+
+    def test_frozen_class(self):
+        adjacency = random_adjacency(20, 0.3, 4)
+        initial = Coloring([0] * 2 + [1] * 18)
+        dynamic = DynamicColoring(
+            adjacency, q_tolerance=2.0, coloring=initial, frozen=(0,)
+        )
+        for update in _random_updates(dynamic.graph, 25, seed=6):
+            dynamic.apply(update)
+            _assert_read_matches(dynamic)
+        dynamic.verify_consistency()
+
+    def test_node_added(self, karate):
+        dynamic = DynamicColoring(karate, q_tolerance=3.0)
+        karate.add_edge("newcomer", karate.labels()[0], 4.0)
+        karate.add_edge(karate.labels()[5], "newcomer", 2.0)
+        _assert_read_matches(dynamic)
+        dynamic.repair()
+        _assert_read_matches(dynamic)
+        dynamic.verify_consistency()
+
+    def test_corrupt_boundary_entry_detected(self, karate):
+        dynamic = DynamicColoring(karate, q_tolerance=2.0)
+        dynamic.verify_consistency()
+        dynamic._l_in[1, 0] -= 1.0
+        with pytest.raises(ColoringError, match="L_in"):
+            dynamic.verify_consistency()
+
+    def test_corrupt_arc_count_detected(self, karate):
+        dynamic = DynamicColoring(karate, q_tolerance=2.0)
+        dynamic.apply(EdgeUpdate.insert(karate.labels()[0], karate.labels()[20], 1.0))
+        dynamic.verify_consistency()
+        dynamic._n_arcs += 1
+        with pytest.raises(ColoringError, match="arc count"):
+            dynamic.verify_consistency()
+
+
+class TestDecisionPin:
+    """Seeded churn traces whose repair decisions are pinned exactly: the
+    maintained U/L state must reproduce the dense-scan engine's splits,
+    merges and attempt counts, not merely stay within tolerance."""
+
+    @pytest.mark.parametrize(
+        "dataset,scale,tolerance,expected",
+        [
+            # k, splits, merges, pairs_checked, merge_tests, rebuilds
+            ("deezer", 0.02, 2.0, (37, 4, 13, 775, 1862, 0)),
+            ("karate", 1.0, 2.0, (7, 9, 14, 393, 360, 3)),
+        ],
+    )
+    def test_random_churn_counters(self, dataset, scale, tolerance, expected):
+        graph = load_graph(dataset, scale=scale)
+        updates = churn_scenario("random", graph, 80, seed=3)
+        dynamic = DynamicColoring(graph, q_tolerance=tolerance)
+        for update in updates:
+            dynamic.apply(update)
+        stats = dynamic.stats
+        assert (
+            dynamic.k,
+            stats.splits,
+            stats.merges,
+            stats.pairs_checked,
+            stats.merge_tests,
+            stats.rebuilds,
+        ) == expected
+        dynamic.verify_consistency()

@@ -9,14 +9,13 @@ from repro.flow.network import (
     validate_flow,
 )
 from repro.graphs.digraph import WeightedDiGraph
-from repro.graphs.edgestore import ingest_arrays
+from tests.conftest import store_graph_with_weights
 
 
 def _store_graph(tmp_path, src, dst, weights):
-    """A graph over an edge store: the entry path that does not scan
-    weights for NaN/inf."""
-    store = ingest_arrays(tmp_path / "store", src, dst, weights)
-    return WeightedDiGraph.from_edgestore(store)
+    """A graph over an edge store whose weight files hold NaN/inf: the
+    array-built entry path, which does not scan weights."""
+    return store_graph_with_weights(tmp_path / "store", src, dst, weights)
 
 
 @pytest.fixture
@@ -56,8 +55,8 @@ class TestFlowNetwork:
     def test_nan_capacity(self, tmp_path):
         # NaN passes a plain ``< 0`` check; a NaN arc on the only path
         # used to give a silent max-flow and min-cut of 0.0.  Resident
-        # graphs refuse it at add_edge; edge stores are not scanned, so
-        # the network is built over one.
+        # graphs refuse it at add_edge and ingest refuses it too, so the
+        # network is built over a store corrupted after ingest.
         with pytest.raises(GraphError, match="finite"):
             WeightedDiGraph(directed=True).add_edge(0, 1, float("nan"))
         graph = _store_graph(tmp_path, [0, 1], [1, 2], [float("nan"), 1.0])

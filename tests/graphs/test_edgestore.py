@@ -166,6 +166,23 @@ class TestWriterDedup:
                 np.array([2]), np.array([7]), np.array([1.0])
             )
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_weight_names_offender(self, tmp_path, bad):
+        writer = EdgeStoreWriter(tmp_path / "store", n_nodes=4)
+        writer.append(np.array([0]), np.array([1]), np.array([1.0]))
+        with pytest.raises(GraphError, match=r"arc 2: 3 -> 0 .* not finite"):
+            writer.append(
+                np.array([1, 3]), np.array([2, 0]), np.array([2.0, bad])
+            )
+
+    def test_ingest_arrays_rejects_nan(self, tmp_path):
+        with pytest.raises(GraphError, match="not finite"):
+            ingest_arrays(
+                tmp_path / "store",
+                np.array([0, 1]), np.array([1, 2]),
+                np.array([np.nan, 1.0]),
+            )
+
     def test_infers_n_nodes_when_unset(self, tmp_path):
         store = ingest_arrays(
             tmp_path / "store",
@@ -247,6 +264,12 @@ class TestIngestEdgelist:
         text = tmp_path / "arcs.txt"
         text.write_text("0 1\nnot-an-arc\n")
         with pytest.raises(GraphError, match=r"arcs\.txt:2"):
+            ingest_edgelist(tmp_path / "store", text)
+
+    def test_non_finite_weight_rejected(self, tmp_path):
+        text = tmp_path / "arcs.txt"
+        text.write_text("0 1 1\n1 2 nan\n2 0 inf\n")
+        with pytest.raises(GraphError, match=r"arc 1: 1 -> 2 .* nan"):
             ingest_edgelist(tmp_path / "store", text)
 
     def test_chunked_streaming_parity(self, tmp_path):

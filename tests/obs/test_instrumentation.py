@@ -163,6 +163,22 @@ class TestDynamicInstrumentation:
         # The batch must have done *something* for this test to bite.
         assert stats.splits + stats.merges + stats.rebuilds > 0
 
+    def test_merge_candidates_and_full_tests_counted(self):
+        graph = barabasi_albert(120, 3, seed=5)
+        dynamic = DynamicColoring(graph, q_tolerance=2.0)
+        edges = [(u, v) for u, v, _ in graph.edges()]
+        with recording() as rec:
+            for u, v in edges[:30]:
+                dynamic.apply(EdgeUpdate.delete(u, v))
+        dynamic.detach()
+        counters = rec.snapshot()["counters"]
+        candidates = counters.get("dynamic.merge.candidates", 0)
+        full_tests = counters.get("dynamic.merge.full_tests", 0)
+        assert candidates == dynamic.stats.merge_tests > 0
+        # The U/L row pre-test settles some candidates; every merge
+        # passed the full test.
+        assert dynamic.stats.merges <= full_tests < candidates
+
 
 class TestTracingChangesNothing:
     """NullRecorder vs Recorder: bit-identical outputs either way."""

@@ -173,6 +173,19 @@ class TestVerifyStore:
         with pytest.raises(StoreError, match="checksum mismatch"):
             verify_store(path)
 
+    @pytest.mark.parametrize("stem", ["weight", "csc_data"])
+    def test_non_finite_weight_detected(self, tmp_path, stem):
+        path = tmp_path / "store"
+        _ingest(path)
+        weights = np.load(path / f"{stem}.npy", mmap_mode="r+")
+        weights[3] = np.inf
+        weights.flush()
+        del weights
+        with pytest.raises(
+            StoreError, match=rf"{stem}\.npy: entry 3 holds non-finite"
+        ):
+            verify_store(path)
+
     def test_truncation_detected_structurally(self, tmp_path):
         path = tmp_path / "store"
         _ingest(path)

@@ -377,6 +377,16 @@ class TestIngestCommand:
         resident_out = capsys.readouterr().out
         assert stats_row(mmap_out) == stats_row(resident_out)
 
+    def test_ingest_rejects_nan_weight(self, tmp_path, capsys):
+        edges = tmp_path / "arcs.txt"
+        edges.write_text("0 1 nan\n1 2\n2 0 inf\n")
+        store = tmp_path / "store"
+        assert main(["ingest", str(store), "--edgelist", str(edges)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro ingest:") and "not finite" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not store.exists()
+
     def test_ingest_requires_exactly_one_source(self, tmp_path):
         store = tmp_path / "store"
         with pytest.raises(SystemExit):
